@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import Auditorium, SeatCoord, manhattan_distance
+from .grid import Auditorium, Placement, SeatCoord, manhattan_distance
 
 
 class EmptyInput(Exception):
@@ -65,10 +65,7 @@ def nearest_distance_histogram(records: list[ChoiceRecord]) -> Histogram:
         raise EmptyInput("no choice records")
     return _tally(
         [
-            min(
-                manhattan_distance(rec.chosen, occ)
-                for occ in rec.configuration.occupied_seats()
-            )
+            rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
             for rec in records
         ]
     )

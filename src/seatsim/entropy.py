@@ -20,19 +20,11 @@ def row_transitions(aud: Auditorium, row: int) -> int:
     """Number of empty/occupied flips between adjacent seats in one row."""
     if not 1 <= row <= aud.rows:
         raise RowOutOfRange(f"row {row} outside 1..{aud.rows}")
-    flags = aud.row_occupancy(row)
-    count = 0
-    prev = flags[0]
-    for cur in flags:
-        if cur != prev:
-            count += 1
-            prev = cur
-    return count
+    x = aud.row_mask(row)
+    inner = (1 << (aud.cols - 1)) - 1
+    return ((x ^ x >> 1) & inner).bit_count()
 
 
 def entropy(aud: Auditorium) -> int:
     """Sum over rows of the squared transition count."""
-    total = 0
-    for row in range(1, aud.rows + 1):
-        total += row_transitions(aud, row) ** 2
-    return total
+    return sum(row_transitions(aud, row) ** 2 for row in range(1, aud.rows + 1))

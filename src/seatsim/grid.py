@@ -3,12 +3,21 @@
 Rows are numbered 1..rows starting from the back of the hall, seats
 1..cols from left to right. An arriving group claims a contiguous
 horizontal run of seats in a single row (a :class:`Placement`).
+
+Each row is stored as an int bitmask with bit ``s-1`` set when seat ``s``
+is taken. Sets of same-size placements are kept the same way, one mask of
+start seats per row (:class:`PlacementSet`). Free runs of k seats start
+where ``f & f>>1 & ... & f>>(k-1)`` is set, ``f`` being the free seats;
+growing the occupied seats by one Manhattan step at a time
+(``x | x<<1 | x>>1 | row above | row below``, morphological dilation)
+tells which runs lie at each distance from the nearest occupant.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+import random
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class SeatConflict(Exception):
@@ -60,13 +69,68 @@ def _round_half_up_ratio(numerator: int, denominator: int) -> int:
     return (2 * numerator + denominator) // (2 * denominator)
 
 
+def _seat_numbers(mask: int) -> Iterator[int]:
+    """Seat numbers of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
+_GRID_BITS = str.maketrans(".#", "01")
+_GRID_CHARS = str.maketrans("01", ".#")
+
+
+def mask_from_text(text: str) -> int:
+    """Bitmask of a row of ``.``/``#`` text; other characters are not checked."""
+    return int(text[::-1].translate(_GRID_BITS) or "0", 2)
+
+
+class PlacementSet:
+    """Placements of one size, as a mask of start seats per row.
+
+    Iterates in row-major order, so ``pick`` consumes the rng exactly as
+    ``options[rng.randrange(len(options))]`` over the listed placements.
+    """
+
+    __slots__ = ("size", "starts")
+
+    def __init__(self, size: int, starts: list[int]):
+        self.size = size
+        self.starts = starts
+
+    def __iter__(self) -> Iterator[Placement]:
+        for r, mask in enumerate(self.starts, start=1):
+            for s in _seat_numbers(mask):
+                yield Placement(r, s, self.size)
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self.starts)
+
+    def __or__(self, other: PlacementSet) -> PlacementSet:
+        return PlacementSet(self.size, [a | b for a, b in zip(self.starts, other.starts)])
+
+    def pick(self, rng: random.Random) -> Placement:
+        """The n-th placement in row-major order, ``n = rng.randrange(len(self))``."""
+        n = rng.randrange(len(self))
+        for r, mask in enumerate(self.starts, start=1):
+            count = mask.bit_count()
+            if n < count:
+                for _ in range(n):
+                    mask &= mask - 1
+                return Placement(r, (mask & -mask).bit_length(), self.size)
+            n -= count
+        raise AssertionError("rank beyond the set")
+
+
 class Auditorium:
     """Mutable rows x cols grid of occupied/empty seats.
 
+    The state is one bitmask per row plus the occupant count and the sums
+    of occupied row and seat numbers (for the center of mass).
     ``occupy``/``occupy_seats`` are the only mutators and only ever flip
-    seats from empty to occupied. Nearest-occupied distances and feasible
-    placements are cached lazily and rebuilt after each mutation, so
-    repeated queries against an unchanged grid are cheap.
+    seats from empty to occupied. Placement and distance queries are
+    computed from the masks on each call; nothing is cached.
     """
 
     def __init__(
@@ -79,15 +143,19 @@ class Auditorium:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self._occ: list[list[bool]] = [[False] * cols for _ in range(rows)]
+        self._masks = [0] * rows
         self._count = 0
         self._row_sum = 0
         self._seat_sum = 0
-        self._cell_dist: list[list[float]] | None = None
-        self._feasible: dict[int, tuple[Placement, ...]] = {}
-        self._pl_dist: dict[int, tuple[tuple[Placement, float], ...]] = {}
-        for coord in occupied:
-            self._set_occupied(SeatCoord(*coord))
+        self.occupy_seats(occupied)
+
+    @classmethod
+    def _from_masks(cls, cols: int, masks: list[int]) -> Auditorium:
+        aud = cls(len(masks), cols)
+        for r, mask in enumerate(masks, start=1):
+            if mask:
+                aud._add(r, mask)
+        return aud
 
     @classmethod
     def from_rows(cls, lines: Sequence[str]) -> Auditorium:
@@ -95,28 +163,22 @@ class Auditorium:
         if not lines:
             raise ValueError("need at least one row")
         cols = len(lines[0])
-        aud = cls(len(lines), cols)
         for r, line in enumerate(lines, start=1):
             if len(line) != cols:
                 raise ValueError(f"row {r} has length {len(line)}, expected {cols}")
-            for s, ch in enumerate(line, start=1):
-                if ch == "#":
-                    aud._set_occupied(SeatCoord(r, s))
-                elif ch != ".":
-                    raise ValueError(f"bad grid character {ch!r} in row {r}")
-        return aud
+            if line.strip(".#"):
+                raise ValueError(f"bad grid character {line.strip('.#')[0]!r} in row {r}")
+        return cls._from_masks(cols, [mask_from_text(line) for line in lines])
 
     def to_rows(self) -> list[str]:
         """Inverse of :meth:`from_rows`."""
-        return ["".join("#" if c else "." for c in row) for row in self._occ]
+        return [
+            format(mask, f"0{self.cols}b")[::-1].translate(_GRID_CHARS)
+            for mask in self._masks
+        ]
 
     def copy(self) -> Auditorium:
-        dup = Auditorium(self.rows, self.cols)
-        dup._occ = [row[:] for row in self._occ]
-        dup._count = self._count
-        dup._row_sum = self._row_sum
-        dup._seat_sum = self._seat_sum
-        return dup
+        return Auditorium._from_masks(self.cols, self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Auditorium):
@@ -124,7 +186,7 @@ class Auditorium:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._occ == other._occ
+            and self._masks == other._masks
         )
 
     def __repr__(self) -> str:
@@ -141,7 +203,7 @@ class Auditorium:
 
     def is_occupied(self, row: int, seat: int) -> bool:
         self._check_bounds(row, seat)
-        return self._occ[row - 1][seat - 1]
+        return bool(self._masks[row - 1] >> (seat - 1) & 1)
 
     @property
     def occupied_count(self) -> int:
@@ -151,30 +213,27 @@ class Auditorium:
         """All occupied seats in row-major order."""
         return [
             SeatCoord(r, s)
-            for r, row in enumerate(self._occ, start=1)
-            for s, occ in enumerate(row, start=1)
-            if occ
+            for r, mask in enumerate(self._masks, start=1)
+            for s in _seat_numbers(mask)
         ]
 
-    def row_occupancy(self, row: int) -> Sequence[bool]:
-        """Occupancy flags of one row (internal list; do not mutate)."""
+    def row_mask(self, row: int) -> int:
+        """Occupancy bitmask of one row; bit ``s-1`` is seat ``s``."""
         self._check_bounds(row, 1)
-        return self._occ[row - 1]
+        return self._masks[row - 1]
 
-    def _invalidate(self) -> None:
-        self._cell_dist = None
-        self._feasible.clear()
-        self._pl_dist.clear()
+    def row_occupancy(self, row: int) -> Sequence[bool]:
+        """Occupancy flags of one row, left to right."""
+        mask = self.row_mask(row)
+        return [bool(mask >> s & 1) for s in range(self.cols)]
 
-    def _set_occupied(self, coord: SeatCoord) -> None:
-        self._check_bounds(coord.row, coord.seat)
-        if self._occ[coord.row - 1][coord.seat - 1]:
-            raise SeatConflict(f"seat ({coord.row},{coord.seat}) is already occupied")
-        self._occ[coord.row - 1][coord.seat - 1] = True
-        self._count += 1
-        self._row_sum += coord.row
-        self._seat_sum += coord.seat
-        self._invalidate()
+    def _add(self, row: int, bits: int) -> None:
+        # Occupy the empty seats ``bits`` of ``row``.
+        count = bits.bit_count()
+        self._masks[row - 1] |= bits
+        self._count += count
+        self._row_sum += row * count
+        self._seat_sum += sum(_seat_numbers(bits))
 
     def occupy(self, placement: Placement) -> None:
         """Seat a group on ``placement``; every covered seat must be empty.
@@ -183,29 +242,71 @@ class Auditorium:
         covered seat is already taken; a conflict here means the caller
         selected an infeasible placement.
         """
-        covered = placement.seats()
-        for coord in covered:
-            self._check_bounds(coord.row, coord.seat)
-            if self._occ[coord.row - 1][coord.seat - 1]:
-                raise SeatConflict(
-                    f"seat ({coord.row},{coord.seat}) is already occupied"
-                )
-        for coord in covered:
-            self._set_occupied(coord)
+        self.occupy_seats(placement.seats())
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats (used when replaying recorded placements)."""
-        staged = [SeatCoord(*c) for c in coords]
-        seen: set[SeatCoord] = set()
-        for coord in staged:
-            self._check_bounds(coord.row, coord.seat)
-            if coord in seen or self._occ[coord.row - 1][coord.seat - 1]:
-                raise SeatConflict(
-                    f"seat ({coord.row},{coord.seat}) is already occupied"
-                )
-            seen.add(coord)
-        for coord in staged:
-            self._set_occupied(coord)
+        staged = [0] * self.rows
+        for row, seat in coords:
+            self._check_bounds(row, seat)
+            bit = 1 << (seat - 1)
+            if (self._masks[row - 1] | staged[row - 1]) & bit:
+                raise SeatConflict(f"seat ({row},{seat}) is already occupied")
+            staged[row - 1] |= bit
+        for r, bits in enumerate(staged, start=1):
+            if bits:
+                self._add(r, bits)
+
+    def _run_starts(self, blocked: list[int], size: int) -> list[int]:
+        # Per row, the seats that start ``size`` seats clear of ``blocked``.
+        if size < 1:
+            raise ValueError(f"group size must be positive, got {size}")
+        full = (1 << self.cols) - 1
+        starts = []
+        for mask in blocked:
+            free = run = ~mask & full
+            for shift in range(1, size):
+                run &= free >> shift
+            starts.append(run)
+        return starts
+
+    def _grow(self, masks: list[int]) -> list[int]:
+        # One Manhattan step of dilation: each seat also covers its four
+        # neighbours.
+        full = (1 << self.cols) - 1
+        padded = [0, *masks, 0]
+        return [
+            (x | x << 1 | x >> 1 | above | below) & full
+            for above, x, below in zip(padded, masks, padded[2:])
+        ]
+
+    def _free(self, size: int) -> PlacementSet:
+        return PlacementSet(size, self._run_starts(self._masks, size))
+
+    def _distance_classes(self, size: int) -> list[tuple[float, PlacementSet]]:
+        """Feasible placements grouped by nearest-occupant distance, ascending.
+
+        A run at distance d is clear of the occupants grown by d-1 steps
+        but not of those grown by d steps. With nobody seated, every
+        placement is grouped under ``math.inf``. Empty when nothing fits.
+        """
+        starts = self._run_starts(self._masks, size)
+        if not any(starts):
+            return []
+        if not self._count:
+            return [(math.inf, PlacementSet(size, starts))]
+        grown = self._masks
+        classes = []
+        distance = 0
+        while any(starts):
+            distance += 1
+            grown = self._grow(grown)
+            farther = self._run_starts(grown, size)
+            ring = [a & ~b for a, b in zip(starts, farther)]
+            if any(ring):
+                classes.append((distance, PlacementSet(size, ring)))
+            starts = farther
+        return classes
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.
@@ -213,52 +314,7 @@ class Auditorium:
         Row-major order by (row, start_seat), so index-based random choice
         is reproducible. Empty tuple when the group cannot fit anywhere.
         """
-        if size < 1:
-            raise ValueError(f"group size must be positive, got {size}")
-        cached = self._feasible.get(size)
-        if cached is None:
-            found: list[Placement] = []
-            for r, row in enumerate(self._occ, start=1):
-                run = 0
-                for s, occ in enumerate(row, start=1):
-                    run = 0 if occ else run + 1
-                    if run >= size:
-                        found.append(Placement(r, s - size + 1, size))
-            cached = self._feasible[size] = tuple(found)
-        return cached
-
-    def _cell_distances(self) -> list[list[float]]:
-        # Manhattan distance from each cell to the nearest occupied cell,
-        # via the exact two-pass chamfer sweep; inf everywhere when the
-        # grid is empty.
-        if self._cell_dist is not None:
-            return self._cell_dist
-        rows, cols = self.rows, self.cols
-        inf = math.inf
-        dist: list[list[float]] = [[inf] * cols for _ in range(rows)]
-        for r in range(rows):
-            drow, orow = dist[r], self._occ[r]
-            up = dist[r - 1] if r else None
-            for c in range(cols):
-                if orow[c]:
-                    drow[c] = 0
-                    continue
-                d = up[c] + 1 if up is not None else inf
-                if c and drow[c - 1] + 1 < d:
-                    d = drow[c - 1] + 1
-                drow[c] = d
-        for r in range(rows - 1, -1, -1):
-            drow = dist[r]
-            down = dist[r + 1] if r + 1 < rows else None
-            for c in range(cols - 1, -1, -1):
-                d = drow[c]
-                if down is not None and down[c] + 1 < d:
-                    d = down[c] + 1
-                if c + 1 < cols and drow[c + 1] + 1 < d:
-                    d = drow[c + 1] + 1
-                drow[c] = d
-        self._cell_dist = dist
-        return dist
+        return tuple(self._free(size))
 
     def min_distance_to_seated(self, placement: Placement) -> float:
         """Smallest Manhattan distance from the placement to any occupant.
@@ -266,26 +322,26 @@ class Auditorium:
         ``math.inf`` when nobody is seated yet; that value compares above
         every integer distance, so lower-bound filters accept it naturally.
         """
-        last = placement.start_seat + placement.size - 1
-        self._check_bounds(placement.row, placement.start_seat)
-        self._check_bounds(placement.row, last)
-        drow = self._cell_distances()[placement.row - 1]
-        return min(drow[placement.start_seat - 1 : last])
+        row, start, size = placement
+        self._check_bounds(row, start)
+        self._check_bounds(row, start + size - 1)
+        if not self._count:
+            return math.inf
+        run = ((1 << size) - 1) << (start - 1)
+        grown, distance = self._masks, 0
+        while not grown[row - 1] & run:
+            grown, distance = self._grow(grown), distance + 1
+        return distance
 
     def placements_with_distances(
         self, size: int
     ) -> tuple[tuple[Placement, float], ...]:
         """Feasible placements paired with their nearest-occupied distance."""
-        cached = self._pl_dist.get(size)
-        if cached is None:
-            dist = self._cell_distances()
-            pairs = []
-            for pl in self.feasible_placements(size):
-                drow = dist[pl.row - 1]
-                lo = pl.start_seat - 1
-                pairs.append((pl, min(drow[lo : lo + pl.size])))
-            cached = self._pl_dist[size] = tuple(pairs)
-        return cached
+        return tuple(sorted(
+            (pl, distance)
+            for distance, group in self._distance_classes(size)
+            for pl in group
+        ))
 
     def center_of_mass(self) -> SeatCoord | None:
         """Mean occupied row and seat, each rounded half-up; None if empty."""

@@ -10,10 +10,12 @@ deterministic row-major candidate order, so a fixed seed fixes the choice.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from typing import Callable, Sequence, TypeVar
 
-from .grid import Auditorium, Placement
+from .grid import Auditorium, Placement, PlacementSet
 
 #: Deterministic pseudo-random stream; construct one per simulation run.
 RandomSource = random.Random
@@ -34,16 +36,23 @@ def _pick(rng: RandomSource, options: Sequence[T]) -> T:
     return options[rng.randrange(len(options))]
 
 
-def _feasible_or_raise(aud: Auditorium, size: int) -> Sequence[Placement]:
-    placements = aud.feasible_placements(size)
-    if not placements:
+def _or_raise(found: T, size: int) -> T:
+    if not found:
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
-    return placements
+    return found
+
+
+def _classes(aud: Auditorium, size: int) -> list[tuple[float, PlacementSet]]:
+    return _or_raise(aud._distance_classes(size), size)
+
+
+def _union(groups: list[PlacementSet]) -> PlacementSet:
+    return functools.reduce(operator.or_, groups)
 
 
 def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     """Uniform choice over every feasible placement."""
-    return _pick(rng, _feasible_or_raise(aud, size))
+    return _or_raise(aud._free(size), size).pick(rng)
 
 
 def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -52,10 +61,7 @@ def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     The distance of a placement is the smallest distance over its member
     seats. In an empty auditorium every placement ties at infinity.
     """
-    _feasible_or_raise(aud, size)
-    pairs = aud.placements_with_distances(size)
-    best = max(d for _, d in pairs)
-    return _pick(rng, [pl for pl, d in pairs if d == best])
+    return _classes(aud, size)[-1][1].pick(rng)
 
 
 def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -66,16 +72,10 @@ def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     infinity); if every placement is closer than 2, settle for any free
     spot.
     """
-    _feasible_or_raise(aud, size)
-    pairs = aud.placements_with_distances(size)
-    banded = [pl for pl, d in pairs if 2 <= d <= 4]
-    if banded:
-        return _pick(rng, banded)
-    above = [(pl, d) for pl, d in pairs if d > 4]
-    if above:
-        nearest = min(d for _, d in above)
-        return _pick(rng, [pl for pl, d in above if d == nearest])
-    return _pick(rng, [pl for pl, _ in pairs])
+    classes = _classes(aud, size)
+    banded = [group for d, group in classes if 2 <= d <= 4]
+    above = [group for d, group in classes if d > 4][:1]
+    return _union(banded or above or [group for _, group in classes]).pick(rng)
 
 
 def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -84,12 +84,9 @@ def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     Falls back to a uniform choice over all feasible placements when no
     spot keeps that much room.
     """
-    _feasible_or_raise(aud, size)
-    pairs = aud.placements_with_distances(size)
-    roomy = [pl for pl, d in pairs if d > 2]
-    if roomy:
-        return _pick(rng, roomy)
-    return _pick(rng, [pl for pl, _ in pairs])
+    classes = _classes(aud, size)
+    roomy = [group for d, group in classes if d > 2]
+    return _union(roomy or [group for _, group in classes]).pick(rng)
 
 
 def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -101,16 +98,17 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     candidates the group sits anywhere; with nobody seated yet there is no
     center and all candidates tie.
     """
-    _feasible_or_raise(aud, size)
-    pairs = aud.placements_with_distances(size)
-    candidates = [pl for pl, d in pairs if d >= 2]
+    classes = _classes(aud, size)
+    candidates = [group for d, group in classes if d >= 2]
     if not candidates:
-        return _pick(rng, [pl for pl, _ in pairs])
+        return _union([group for _, group in classes]).pick(rng)
     center = aud.center_of_mass()
     if center is None:
-        return _pick(rng, candidates)
-    closest = min(pl.min_distance_to(center) for pl in candidates)
-    return _pick(rng, [pl for pl in candidates if pl.min_distance_to(center) == closest])
+        return _union(candidates).pick(rng)
+    options = list(_union(candidates))
+    distances = [pl.min_distance_to(center) for pl in options]
+    closest = min(distances)
+    return _pick(rng, [pl for pl, d in zip(options, distances) if d == closest])
 
 
 POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {

@@ -34,10 +34,11 @@ its integer entropy as mean with std 0 and min = max = mean.
 
 from __future__ import annotations
 
-from typing import Sequence
+import re
+from typing import Iterable, Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, SeatCoord
+from .grid import Auditorium, SeatCoord, mask_from_text
 from .simulation import MeanTrajectory, Scenario
 
 
@@ -57,6 +58,9 @@ class ValidationError(Exception):
 
 class LengthMismatch(Exception):
     """Trajectories with different step counts were emitted together."""
+
+
+_BAD_GRID_CHAR = re.compile(r"[^.#]")
 
 
 class _Lines:
@@ -118,31 +122,31 @@ def _parse_coord(token: str, line: int, column: int) -> SeatCoord:
     )
 
 
-def _parse_grid_block(
-    cur: _Lines, rows: int, cols: int
-) -> list[SeatCoord]:
-    occupied: list[SeatCoord] = []
-    for r in range(1, rows + 1):
-        line, text = cur.take(f"grid row {r}")
+def _read_grid(lines: Iterable[tuple[int, str]], cols: int) -> Auditorium:
+    """The auditorium drawn by numbered grid lines of ``cols`` characters."""
+    masks = []
+    for r, (line, text) in enumerate(lines, start=1):
         if len(text) != cols:
             raise ParseError(
                 line, min(len(text), cols) + 1,
                 f"grid row {r} has {len(text)} characters, expected {cols}",
             )
-        for s, ch in enumerate(text, start=1):
-            if ch == "#":
-                occupied.append(SeatCoord(r, s))
-            elif ch != ".":
-                raise ParseError(line, s, f"bad grid character {ch!r}, expected '.' or '#'")
-    return occupied
+        bad = _BAD_GRID_CHAR.search(text)
+        if bad:
+            raise ParseError(
+                line, bad.start() + 1,
+                f"bad grid character {bad.group()!r}, expected '.' or '#'",
+            )
+        masks.append(mask_from_text(text))
+    return Auditorium._from_masks(cols, masks)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the scenario format; see the module docstring for the grammar.
 
     Raises :class:`ParseError` for malformed text and
-    :class:`ValidationError` for semantic violations (out-of-bounds or
-    duplicated seats, arrivals/observed mismatches).
+    :class:`ValidationError` for out-of-order observed steps and for what
+    :func:`validate_scenario` rejects in the parsed scenario.
     """
     cur = _Lines(text)
     rows = _take_int_field(cur, "rows")
@@ -152,7 +156,7 @@ def parse_scenario(text: str) -> Scenario:
     if cols < 1:
         raise ValidationError(f"cols must be positive, got {cols}")
     _take_keyword(cur, "grid")
-    initial = _parse_grid_block(cur, rows, cols)
+    grid = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
 
     _take_keyword(cur, "arrivals")
     arrivals: list[int] = []
@@ -163,17 +167,13 @@ def parse_scenario(text: str) -> Scenario:
         for token in text.split():
             column = text.index(token, search_from) + 1
             search_from = column - 1 + len(token)
-            size = _parse_int(token, line, column, "group size")
-            if size < 1:
-                raise ValidationError(f"line {line}: group size must be positive, got {size}")
-            arrivals.append(size)
+            arrivals.append(_parse_int(token, line, column, "group size"))
 
-    observed: list[tuple[SeatCoord, ...]] | None = None
+    observed: list[list[SeatCoord]] | None = None
     item = cur.peek()
     if item is not None and item[1].strip() == "observed":
         cur.take("'observed'")
         observed = []
-        taken = {coord: "the initial configuration" for coord in initial}
         while cur.peek() is not None:
             line, text = cur.take("observed step")
             head, colon, rest = text.partition(":")
@@ -189,44 +189,22 @@ def parse_scenario(text: str) -> Scenario:
             for token in rest.split():
                 column = text.index(token, search_from) + 1
                 search_from = column - 1 + len(token)
-                coord = _parse_coord(token, line, column)
-                if not (1 <= coord.row <= rows and 1 <= coord.seat <= cols):
-                    raise ValidationError(
-                        f"line {line}: observed seat ({coord.row},{coord.seat}) "
-                        f"outside the {rows}x{cols} grid"
-                    )
-                if coord in taken:
-                    raise ValidationError(
-                        f"line {line}: observed seat ({coord.row},{coord.seat}) "
-                        f"is already occupied by {taken[coord]}"
-                    )
-                taken[coord] = f"step {step}"
-                seats.append(coord)
-            observed.append(tuple(seats))
+                seats.append(_parse_coord(token, line, column))
+            observed.append(seats)
 
     item = cur.peek()
     if item is not None:
         raise ParseError(item[0], 1, f"unexpected line {item[1]!r}")
 
-    if observed is not None:
-        if len(observed) != len(arrivals):
-            raise ValidationError(
-                f"observed covers {len(observed)} steps but arrivals lists "
-                f"{len(arrivals)} groups"
-            )
-        for index, (seats, size) in enumerate(zip(observed, arrivals), start=1):
-            if len(seats) != size:
-                raise ValidationError(
-                    f"observed step {index} seats {len(seats)} people but the "
-                    f"arriving group has size {size}"
-                )
-    return Scenario(
+    scenario = Scenario(
         rows=rows,
         cols=cols,
-        initial_occupancy=tuple(initial),
+        initial_occupancy=tuple(grid.occupied_seats()),
         arrivals=tuple(arrivals),
         observed=tuple(observed) if observed is not None else None,
     )
+    validate_scenario(scenario)
+    return scenario
 
 
 def validate_scenario(scenario: Scenario) -> None:
@@ -302,10 +280,7 @@ def parse_choices(text: str) -> list[ChoiceRecord]:
     if block:
         blocks.append(block)
 
-    records = []
-    for lines in blocks:
-        records.append(_parse_choice_block(lines))
-    return records
+    return [_parse_choice_block(lines) for lines in blocks]
 
 
 def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
@@ -324,32 +299,12 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
         raise ParseError(line, 1, f"expected 'grid', got {text!r}")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
-    if not grid_lines:
-        raise ParseError(chosen_line, 1, "record has no grid rows")
-    cols = len(grid_lines[0][1])
-    rows: list[str] = []
-    for r, (number, row_text) in enumerate(grid_lines, start=1):
-        if len(row_text) != cols:
-            raise ParseError(
-                number, min(len(row_text), cols) + 1,
-                f"grid row {r} has {len(row_text)} characters, expected {cols}",
-            )
-        for s, ch in enumerate(row_text, start=1):
-            if ch not in ".#":
-                raise ParseError(number, s, f"bad grid character {ch!r}, expected '.' or '#'")
-        rows.append(row_text)
+    configuration = _read_grid(grid_lines, len(grid_lines[0][1]))
 
     parts = chosen_text.split()
     if len(parts) != 2 or parts[0] != "chosen":
         raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {chosen_text!r}")
     chosen = _parse_coord(parts[1], chosen_line, chosen_text.index(parts[1]) + 1)
-
-    configuration = Auditorium.from_rows(rows)
-    if not (1 <= chosen.row <= configuration.rows and 1 <= chosen.seat <= configuration.cols):
-        raise ValidationError(
-            f"line {chosen_line}: chosen seat {tuple(chosen)} outside the "
-            f"{configuration.rows}x{configuration.cols} grid"
-        )
     try:
         return ChoiceRecord(configuration=configuration, chosen=chosen, group_count=group_count)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Everything here recomputes results from first principles through the
 narrow ``is_occupied``/``rows``/``cols`` surface, deliberately avoiding
-the library's cached placement and distance machinery, so that agreement
+the library's bitmask placement and distance machinery, so that agreement
 between the two is meaningful.
 """
 

@@ -141,6 +141,15 @@ class TestMinDistanceToSeated:
                 for pl in aud.feasible_placements(size):
                     assert aud.min_distance_to_seated(pl) == min_distance_bf(aud, pl)
 
+    def test_placements_with_distances_match_brute_force(self):
+        rng = random.Random(123)
+        for _ in range(40):
+            aud = random_auditorium(rng)
+            for size in (1, 2, 3):
+                assert list(aud.placements_with_distances(size)) == [
+                    (pl, min_distance_bf(aud, pl)) for pl in feasible_placements_bf(aud, size)
+                ]
+
     def test_cache_invalidated_by_occupy(self):
         aud = Auditorium(3, 6, [(1, 1)])
         pl = Placement(3, 5, 2)

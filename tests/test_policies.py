@@ -5,6 +5,7 @@ import random
 import pytest
 
 from seatsim import (
+    POLICIES,
     Auditorium,
     NoFeasiblePlacement,
     POLICY_NAMES,
@@ -243,3 +244,23 @@ class TestOracleEquivalenceSmallInstances:
             )
             assert support == oracle
             checked += 1
+
+
+class TestTieBreakOrder:
+    """The rng picks by index from the row-major sorted candidate set."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_choice_is_indexed_in_row_major_order(self, policy):
+        select = POLICIES[policy]
+        rng = random.Random(70_000 + POLICY_NAMES.index(policy))
+        for _ in range(200):
+            aud = random_auditorium(rng)
+            for size in (1, 2, 3):
+                ordered = sorted(policy_candidates_bf(policy, aud, size))
+                for seed in range(3):
+                    if not ordered:
+                        with pytest.raises(NoFeasiblePlacement):
+                            select(aud, size, random.Random(seed))
+                        continue
+                    expected = ordered[random.Random(seed).randrange(len(ordered))]
+                    assert select(aud, size, random.Random(seed)) == expected

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seatsim import (
     LengthMismatch,
@@ -247,3 +248,84 @@ class TestEmitTrajectoriesCsv:
         second = emit_trajectories_csv([("x", mt), ("real", [3, 5])])
         assert first == second
         assert "0.3333333333333333" in first
+
+
+# Text for the parser fuzz tests: lines built from the formats' keywords,
+# small (also non-positive) numbers, coordinates and grid characters, laid
+# out either freely or along the scenario/choices skeleton with a few lines
+# inserted, replaced or dropped so that the deeper checks are reached.
+_NUMBER = st.integers(-1, 5).map(str)
+_COORD = st.tuples(_NUMBER, _NUMBER).map(",".join)
+_GRID_ROW = st.text(".#", max_size=5)
+_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["rows", "cols", "grid", "arrivals", "observed", "groups", "chosen"]),
+        st.lists(st.one_of(_NUMBER, _COORD), max_size=2),
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+    _GRID_ROW,
+    st.lists(_NUMBER, min_size=1, max_size=3).map(" ".join),
+    st.tuples(_NUMBER, st.lists(_COORD, max_size=3)).map(lambda t: f"{t[0]}: {' '.join(t[1])}"),
+    st.text(".#,:; 0123456789x-", max_size=8),
+)
+
+
+@st.composite
+def _perturbed(draw, skeleton):
+    lines = draw(skeleton)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(["insert", "replace", "drop"]))
+        if action == "insert":
+            lines.insert(at, draw(_LINE))
+        elif at < len(lines):
+            lines[at : at + 1] = [draw(_LINE)] if action == "replace" else []
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _scenario_skeleton(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    lines = [f"rows {rows}", f"cols {cols}", "grid"]
+    lines += draw(st.lists(st.text(".#", min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    lines += ["arrivals", " ".join(draw(st.lists(_NUMBER, max_size=3)))]
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.lists(_COORD, max_size=2), max_size=3))
+        lines += ["observed", *(f"{i}: {' '.join(c)}" for i, c in enumerate(steps, start=1))]
+    return lines
+
+
+@st.composite
+def _choices_skeleton(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 2))):
+        cols = draw(st.integers(1, 4))
+        grid = draw(st.lists(st.text(".#", min_size=cols, max_size=cols), min_size=1, max_size=3))
+        lines += [f"groups {draw(_NUMBER)}", "grid", *grid, f"chosen {draw(_COORD)}", ""]
+    return lines
+
+
+_TEXTS = st.one_of(
+    st.lists(_LINE, max_size=12).map("\n".join),
+    _perturbed(_scenario_skeleton()),
+    _perturbed(_choices_skeleton()),
+)
+
+
+class TestParserFuzz:
+    """Any text makes the parsers return or raise ParseError/ValidationError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXTS)
+    def test_parse_scenario_raises_only_format_errors(self, text):
+        try:
+            parse_scenario(text)
+        except (ParseError, ValidationError):
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TEXTS)
+    def test_parse_choices_raises_only_format_errors(self, text):
+        try:
+            parse_choices(text)
+        except (ParseError, ValidationError):
+            pass
