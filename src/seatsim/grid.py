@@ -15,6 +15,7 @@ tells which runs lie at each distance from the nearest occupant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -107,8 +108,11 @@ class PlacementSet:
     def __len__(self) -> int:
         return sum(mask.bit_count() for mask in self.starts)
 
-    def __or__(self, other: PlacementSet) -> PlacementSet:
-        return PlacementSet(self.size, [a | b for a, b in zip(self.starts, other.starts)])
+    def __bool__(self) -> bool:
+        return any(self.starts)
+
+    def __sub__(self, other: PlacementSet) -> PlacementSet:
+        return PlacementSet(self.size, [a & ~b for a, b in zip(self.starts, other.starts)])
 
     def pick(self, rng: random.Random) -> Placement:
         """The n-th placement in row-major order, ``n = rng.randrange(len(self))``."""
@@ -283,30 +287,24 @@ class Auditorium:
     def _free(self, size: int) -> PlacementSet:
         return PlacementSet(size, self._run_starts(self._masks, size))
 
-    def _distance_classes(self, size: int) -> list[tuple[float, PlacementSet]]:
-        """Feasible placements grouped by nearest-occupant distance, ascending.
-
-        A run at distance d is clear of the occupants grown by d-1 steps
-        but not of those grown by d steps. With nobody seated, every
-        placement is grouped under ``math.inf``. Empty when nothing fits.
+    def _clearances(self, size: int) -> Iterator[PlacementSet]:
+        """Feasible placements clear of the occupants grown by 0, 1, 2, ...
+        steps: the d-th set is those farther than d from every occupant.
+        Endless; each set costs one growth step, so take only those needed.
         """
-        starts = self._run_starts(self._masks, size)
-        if not any(starts):
-            return []
-        if not self._count:
-            return [(math.inf, PlacementSet(size, starts))]
         grown = self._masks
-        classes = []
-        distance = 0
-        while any(starts):
-            distance += 1
+        while True:
+            yield PlacementSet(size, self._run_starts(grown, size))
             grown = self._grow(grown)
-            farther = self._run_starts(grown, size)
-            ring = [a & ~b for a, b in zip(starts, farther)]
-            if any(ring):
-                classes.append((distance, PlacementSet(size, ring)))
-            starts = farther
-        return classes
+
+    def _farthest(self, size: int) -> PlacementSet:
+        """The feasible placements farthest from every occupant; all of them
+        with nobody seated."""
+        clear = self._clearances(size)
+        farthest = next(clear)
+        for beyond in itertools.takewhile(bool, clear) if self._count else ():
+            farthest = beyond
+        return farthest
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.
@@ -337,11 +335,15 @@ class Auditorium:
         self, size: int
     ) -> tuple[tuple[Placement, float], ...]:
         """Feasible placements paired with their nearest-occupied distance."""
-        return tuple(sorted(
-            (pl, distance)
-            for distance, group in self._distance_classes(size)
-            for pl in group
-        ))
+        if not self._count:
+            return tuple((pl, math.inf) for pl in self._free(size))
+        pairs = []
+        clear = itertools.pairwise(self._clearances(size))
+        for distance, (near, far) in enumerate(clear, start=1):
+            if not near:
+                break
+            pairs.extend((pl, distance) for pl in near - far)
+        return tuple(sorted(pairs))
 
     def center_of_mass(self) -> SeatCoord | None:
         """Mean occupied row and seat, each rounded half-up; None if empty."""

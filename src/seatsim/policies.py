@@ -10,8 +10,7 @@ deterministic row-major candidate order, so a fixed seed fixes the choice.
 
 from __future__ import annotations
 
-import functools
-import operator
+import itertools
 import random
 from typing import Callable, Sequence, TypeVar
 
@@ -42,12 +41,9 @@ def _or_raise(found: T, size: int) -> T:
     return found
 
 
-def _classes(aud: Auditorium, size: int) -> list[tuple[float, PlacementSet]]:
-    return _or_raise(aud._distance_classes(size), size)
-
-
-def _union(groups: list[PlacementSet]) -> PlacementSet:
-    return functools.reduce(operator.or_, groups)
+def _clear_of(aud: Auditorium, size: int, steps: int) -> list[PlacementSet]:
+    """Feasible placements farther than 0, 1, ..., ``steps`` from every occupant."""
+    return list(itertools.islice(aud._clearances(size), steps + 1))
 
 
 def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -61,7 +57,7 @@ def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     The distance of a placement is the smallest distance over its member
     seats. In an empty auditorium every placement ties at infinity.
     """
-    return _classes(aud, size)[-1][1].pick(rng)
+    return _or_raise(aud._farthest(size), size).pick(rng)
 
 
 def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -72,10 +68,12 @@ def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     infinity); if every placement is closer than 2, settle for any free
     spot.
     """
-    classes = _classes(aud, size)
-    banded = [group for d, group in classes if 2 <= d <= 4]
-    above = [group for d, group in classes if d > 4][:1]
-    return _union(banded or above or [group for _, group in classes]).pick(rng)
+    # One step toward its nearest occupant brings a placement exactly one
+    # closer and keeps it free, so with anyone seated every distance from
+    # 1 up to the largest is taken. Nothing in the band then means nothing
+    # above it either, and the band-less cases all pick among every spot.
+    free, beyond1, _, _, beyond4 = _clear_of(aud, size, 4)
+    return _or_raise((beyond1 - beyond4) or free, size).pick(rng)
 
 
 def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -84,9 +82,8 @@ def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     Falls back to a uniform choice over all feasible placements when no
     spot keeps that much room.
     """
-    classes = _classes(aud, size)
-    roomy = [group for d, group in classes if d > 2]
-    return _union(roomy or [group for _, group in classes]).pick(rng)
+    free, _, roomy = _clear_of(aud, size, 2)
+    return _or_raise(roomy or free, size).pick(rng)
 
 
 def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -98,14 +95,13 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     candidates the group sits anywhere; with nobody seated yet there is no
     center and all candidates tie.
     """
-    classes = _classes(aud, size)
-    candidates = [group for d, group in classes if d >= 2]
+    free, candidates = _clear_of(aud, size, 1)
     if not candidates:
-        return _union([group for _, group in classes]).pick(rng)
+        return _or_raise(free, size).pick(rng)
     center = aud.center_of_mass()
     if center is None:
-        return _union(candidates).pick(rng)
-    options = list(_union(candidates))
+        return candidates.pick(rng)
+    options = list(candidates)
     distances = [pl.min_distance_to(center) for pl in options]
     closest = min(distances)
     return _pick(rng, [pl for pl, d in zip(options, distances) if d == closest])

@@ -150,6 +150,19 @@ class TestMinDistanceToSeated:
                     (pl, min_distance_bf(aud, pl)) for pl in feasible_placements_bf(aud, size)
                 ]
 
+    def test_every_distance_up_to_the_farthest_occurs(self):
+        # With anyone seated, the nearest-occupant distances of the feasible
+        # placements run from 1 up to their maximum without a gap.
+        rng = random.Random(321)
+        for _ in range(60):
+            aud = random_auditorium(rng)
+            for size in (1, 2, 3):
+                distances = {
+                    min_distance_bf(aud, pl) for pl in feasible_placements_bf(aud, size)
+                }
+                if aud.occupied_count and distances:
+                    assert distances == set(range(1, max(distances) + 1))
+
     def test_cache_invalidated_by_occupy(self):
         aud = Auditorium(3, 6, [(1, 1)])
         pl = Placement(3, 5, 2)

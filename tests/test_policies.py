@@ -264,3 +264,29 @@ class TestTieBreakOrder:
                         continue
                     expected = ordered[random.Random(seed).randrange(len(ordered))]
                     assert select(aud, size, random.Random(seed)) == expected
+
+
+class TestGrowthSteps:
+    """Every rule but ``max`` grows the occupants a fixed number of steps,
+    so its cost does not depend on how far apart people sit."""
+
+    @pytest.mark.parametrize(
+        "policy, steps", [("random", 0), ("space", 4), ("simple", 2), ("center", 1)]
+    )
+    def test_fixed_number_of_growth_steps(self, policy, steps, monkeypatch):
+        calls = []
+        grow = Auditorium._grow
+
+        def counted(aud, masks):
+            calls.append(masks)
+            return grow(aud, masks)
+
+        monkeypatch.setattr(Auditorium, "_grow", counted)
+        rng = random.Random(80_000 + steps)
+        for _ in range(50):
+            aud = random_auditorium(rng)
+            if not aud.feasible_placements(1):
+                continue
+            calls.clear()
+            select_placement(policy, aud, 1, rng)
+            assert len(calls) == steps
