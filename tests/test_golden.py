@@ -1,4 +1,4 @@
-"""Byte-for-byte lock on the paper-figure CSV.
+"""Byte-for-byte locks on the simulated CSV.
 
 The oracles elsewhere check that every rule picks from the right set; this
 test checks that the seeded choices themselves, and so every output byte,
@@ -9,6 +9,7 @@ digest is a model change and must be explained where it is made.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -16,6 +17,9 @@ from seatsim.cli import main
 
 FIG1_ALL_200_SEED0_SHA256 = (
     "be3c3bf9e299d55e6105ac25b18f5ccb33d0bfebdb393ce94c01816e5b7ad8ed"
+)
+WIDE_HALL_ALL_5_SEED0_SHA256 = (
+    "e6d7dfb9825f19056c6e6fb0251dd87ac977aa757e5322df0a61519615249117"
 )
 
 
@@ -33,3 +37,43 @@ def test_fig1_all_policies_csv_digest(fig1_path, tmp_path, workers):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG1_ALL_200_SEED0_SHA256
+
+
+def wide_hall_scenario() -> str:
+    """A 20x40 hall with a few seated trios and 60 arrivals of 1-4.
+
+    fig1 only seats groups of 1 and 2 on a 7x14 hall; this one reaches
+    groups of 4, runs clamped at either wall and centers far from the
+    edges. Built from a fixed seed so the text never changes.
+    """
+    rng = random.Random(20_40)
+    rows, cols = 20, 40
+    grid = [["."] * cols for _ in range(rows)]
+    for _ in range(6):
+        r, s = rng.randrange(rows), rng.randrange(cols - 2)
+        grid[r][s:s + 3] = ["#"] * 3
+    arrivals = [rng.randint(1, 4) for _ in range(60)]
+    return "\n".join([
+        f"rows {rows}",
+        f"cols {cols}",
+        "grid",
+        *("".join(row) for row in grid),
+        "arrivals",
+        " ".join(map(str, arrivals)),
+    ]) + "\n"
+
+
+def test_wide_hall_groups_of_one_to_four_csv_digest(tmp_path):
+    scenario = tmp_path / "wide.scenario"
+    scenario.write_text(wide_hall_scenario(), encoding="utf-8")
+    out = tmp_path / "wide.csv"
+    code = main([
+        "simulate",
+        "--scenario", str(scenario),
+        "--policy", "all",
+        "--runs", "5",
+        "--seed", "0",
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_HALL_ALL_5_SEED0_SHA256
