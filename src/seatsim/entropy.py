@@ -27,4 +27,5 @@ def row_transitions(aud: Auditorium, row: int) -> int:
 
 def entropy(aud: Auditorium) -> int:
     """Sum over rows of the squared transition count."""
-    return sum(row_transitions(aud, row) ** 2 for row in range(1, aud.rows + 1))
+    inner = (1 << (aud.cols - 1)) - 1
+    return sum(((x ^ x >> 1) & inner).bit_count() ** 2 for x in aud._masks)

@@ -114,6 +114,36 @@ class PlacementSet:
     def __sub__(self, other: PlacementSet) -> PlacementSet:
         return PlacementSet(self.size, [a & ~b for a, b in zip(self.starts, other.starts)])
 
+    def closest_to(self, point: SeatCoord) -> PlacementSet:
+        """The placements at the smallest Manhattan distance from ``point``,
+        measured from their nearest member seat.
+
+        Ranked per row in closed form: starts whose run covers the point's
+        seat are level with it; otherwise only the nearest start on each
+        side can be closest, and both tie when equally far.
+        """
+        row, seat = point
+        lowest = max(seat - self.size, 0)  # bit of the leftmost covering start
+        left_of = (1 << lowest) - 1
+        covering = ((1 << seat) - 1) & ~left_of
+        ranked = []
+        for r, mask in enumerate(self.starts, start=1):
+            nearest, gap = mask & covering, 0
+            if mask and not nearest:
+                sides = []
+                if left := mask & left_of:
+                    # The run of start s ends at seat s + size - 1.
+                    s = left.bit_length()
+                    sides.append((seat - s - self.size + 1, 1 << (s - 1)))
+                if right := mask >> seat << seat:
+                    low = right & -right
+                    sides.append((low.bit_length() - seat, low))
+                gap = min(sides)[0]
+                nearest = sum(bit for d, bit in sides if d == gap)
+            ranked.append((abs(r - row) + gap if nearest else math.inf, nearest))
+        closest = min(d for d, _ in ranked)
+        return PlacementSet(self.size, [m if d == closest else 0 for d, m in ranked])
+
     def pick(self, rng: random.Random) -> Placement:
         """The n-th placement in row-major order, ``n = rng.randrange(len(self))``."""
         n = rng.randrange(len(self))

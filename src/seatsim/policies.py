@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .grid import Auditorium, Placement, PlacementSet
 
@@ -29,10 +29,6 @@ class NoFeasiblePlacement(Exception):
         super().__init__(message)
         self.step = step
         self.run = run
-
-
-def _pick(rng: RandomSource, options: Sequence[T]) -> T:
-    return options[rng.randrange(len(options))]
 
 
 def _or_raise(found: T, size: int) -> T:
@@ -94,6 +90,10 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     distance measured over member seats) tie for the choice. With no
     candidates the group sits anywhere; with nobody seated yet there is no
     center and all candidates tie.
+
+    Finding the candidates takes one growth step of the occupants; they
+    are ranked per row in closed form, without listing them
+    (:meth:`PlacementSet.closest_to`).
     """
     free, candidates = _clear_of(aud, size, 1)
     if not candidates:
@@ -101,10 +101,7 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     center = aud.center_of_mass()
     if center is None:
         return candidates.pick(rng)
-    options = list(candidates)
-    distances = [pl.min_distance_to(center) for pl in options]
-    closest = min(distances)
-    return _pick(rng, [pl for pl, d in zip(options, distances) if d == closest])
+    return candidates.closest_to(center).pick(rng)
 
 
 POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {

@@ -124,6 +124,8 @@ def run_many(
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     seeds = [derive_seed(master_seed, i) for i in range(runs)]
 
     def one_run(index: int) -> Trajectory:

@@ -164,6 +164,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "ValueError" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_fails_cleanly(self, capsys, scenario_file, workers):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--scenario", str(scenario_file), "--policy", "max",
+            "--runs", "2", "--workers", workers,
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err
+
     def test_unseatable_scenario_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "tiny.scenario"
         path.write_text("rows 1\ncols 3\ngrid\n...\narrivals\n2 2\n", encoding="utf-8")

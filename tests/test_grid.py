@@ -13,6 +13,7 @@ from seatsim import (
     SeatCoord,
     manhattan_distance,
 )
+from seatsim.grid import PlacementSet
 from support import (
     center_of_mass_bf,
     feasible_placements_bf,
@@ -212,6 +213,58 @@ class TestPlacementMinDistanceTo:
             pl = Placement(rng.randint(1, 7), start, size)
             coord = SeatCoord(rng.randint(1, 7), rng.randint(1, 14))
             assert pl.min_distance_to(coord) == placement_point_distance_bf(pl, coord)
+
+
+def closest_bf(placements, point):
+    distances = {pl: placement_point_distance_bf(pl, point) for pl in placements}
+    closest = min(distances.values(), default=None)
+    return {pl for pl, d in distances.items() if d == closest}
+
+
+class TestClosestTo:
+    @pytest.mark.parametrize(
+        "size,starts,point,expected",
+        [
+            # equally far on the left and the right: both tie
+            (1, [3, 7], (1, 5), [3, 7]),
+            (3, [1, 7], (1, 5), [1, 7]),
+            # one seat nearer on the right
+            (2, [1, 6], (1, 5), [6]),
+            # the covering window clamped at seat 1 and at the last seat
+            (4, [1, 2, 6], (1, 1), [1]),
+            (4, [1, 5, 6], (1, 9), [6]),
+            # covering starts all tie, the nearer sides do not count
+            (3, [1, 3, 4, 5, 8], (1, 5), [3, 4, 5]),
+        ],
+    )
+    def test_examples_on_a_row_of_nine(self, size, starts, point, expected):
+        mask = sum(1 << (s - 1) for s in starts)
+        found = PlacementSet(size, [mask]).closest_to(SeatCoord(*point))
+        assert list(found) == [Placement(1, s, size) for s in expected]
+
+    def test_every_row_of_starts_and_every_seat(self):
+        cols = 7
+        for size in (1, 2, 3, 4):
+            for mask in range(1 << (cols - size + 1)):
+                starts = PlacementSet(size, [mask])
+                for seat in range(1, cols + 1):
+                    point = SeatCoord(1, seat)
+                    assert set(starts.closest_to(point)) == closest_bf(starts, point)
+
+    def test_matches_brute_force_across_rows(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            rows, cols = rng.randint(1, 6), rng.randint(4, 14)
+            size = rng.randint(1, 4)
+            density = rng.random()
+            starts = PlacementSet(size, [
+                sum(1 << b for b in range(cols - size + 1) if rng.random() < density)
+                for _ in range(rows)
+            ])
+            point = SeatCoord(rng.randint(1, rows), rng.randint(1, cols))
+            found = starts.closest_to(point)
+            assert set(found) == closest_bf(starts, point)
+            assert all(mask == 0 for mask in found.starts[rows:])
 
 
 class TestOccupy:

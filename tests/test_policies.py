@@ -16,6 +16,7 @@ from seatsim import (
     select_random,
     select_space,
 )
+from seatsim.grid import PlacementSet
 from support import (
     coverage_draws,
     mirror_placement,
@@ -255,7 +256,7 @@ class TestTieBreakOrder:
         rng = random.Random(70_000 + POLICY_NAMES.index(policy))
         for _ in range(200):
             aud = random_auditorium(rng)
-            for size in (1, 2, 3):
+            for size in (1, 2, 3, 4):
                 ordered = sorted(policy_candidates_bf(policy, aud, size))
                 for seed in range(3):
                     if not ordered:
@@ -290,3 +291,28 @@ class TestGrowthSteps:
             calls.clear()
             select_placement(policy, aud, 1, rng)
             assert len(calls) == steps
+
+    def test_center_ranks_without_listing_candidates(self, monkeypatch):
+        ranked = []
+        closest_to = PlacementSet.closest_to
+
+        def counted(candidates, point):
+            ranked.append(point)
+            return closest_to(candidates, point)
+
+        def forbidden(*args):
+            raise AssertionError("select_center listed or scored its candidates")
+
+        monkeypatch.setattr(PlacementSet, "closest_to", counted)
+        monkeypatch.setattr(PlacementSet, "__iter__", forbidden)
+        monkeypatch.setattr(Placement, "min_distance_to", forbidden)
+        rng = random.Random(80_005)
+        for _ in range(50):
+            aud = random_auditorium(rng)
+            if aud.center_of_mass() is None:
+                continue
+            for size in (1, 2, 3, 4):
+                # not feasible_placements: it lists through __iter__
+                if aud._free(size):
+                    select_center(aud, size, rng)
+        assert len(ranked) > 50
