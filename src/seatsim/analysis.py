@@ -10,6 +10,7 @@ percentages are left to consumers so the output stays exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .grid import Auditorium, Placement, SeatCoord, manhattan_distance
@@ -52,23 +53,14 @@ class Histogram:
         return sum(self.counts.values())
 
 
-def _tally(distances: list[int]) -> Histogram:
-    counts: dict[int, int] = {}
-    for d in distances:
-        counts[d] = counts.get(d, 0) + 1
-    return Histogram(counts)
-
-
 def nearest_distance_histogram(records: list[ChoiceRecord]) -> Histogram:
     """Bin each record's distance from the chosen seat to the nearest occupant."""
     if not records:
         raise EmptyInput("no choice records")
-    return _tally(
-        [
-            rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
-            for rec in records
-        ]
-    )
+    return Histogram(dict(Counter(
+        rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
+        for rec in records
+    )))
 
 
 def center_distance_histogram(
@@ -92,4 +84,4 @@ def center_distance_histogram(
         center = rec.configuration.center_of_mass()
         assert center is not None  # occupied_count >= 1 is checked on construction
         distances.append(manhattan_distance(rec.chosen, center))
-    return _tally(distances)
+    return Histogram(dict(Counter(distances)))

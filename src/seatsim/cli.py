@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     simulate.add_argument(
         "--workers", type=int, default=1,
-        help="worker threads for runs; output is identical for any count",
+        help="accepted (N >= 1) but unused: runs execute in-process, in index order",
     )
 
     replay = sub.add_parser("replay", help="print the recorded real trajectory as CSV")

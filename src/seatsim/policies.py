@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .grid import Auditorium, Placement, PlacementSet
 
 #: Deterministic pseudo-random stream; construct one per simulation run.
 RandomSource = random.Random
-
-T = TypeVar("T")
 
 
 class NoFeasiblePlacement(Exception):
@@ -31,7 +29,7 @@ class NoFeasiblePlacement(Exception):
         self.run = run
 
 
-def _or_raise(found: T, size: int) -> T:
+def _or_raise(found: PlacementSet, size: int) -> PlacementSet:
     if not found:
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
     return found

@@ -63,15 +63,23 @@ class LengthMismatch(Exception):
 _BAD_GRID_CHAR = re.compile(r"[^.#]")
 
 
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based number, right-stripped text) of each non-comment line.
+
+    Blank lines stay, as ``""``, because they separate choices records.
+    """
+    return [
+        (number, line.rstrip())
+        for number, line in enumerate(text.splitlines(), start=1)
+        if not line.lstrip().startswith(";")
+    ]
+
+
 class _Lines:
     """Cursor over effective (non-blank, non-comment) lines."""
 
     def __init__(self, text: str):
-        self._items = [
-            (number, line.rstrip())
-            for number, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith(";")
-        ]
+        self._items = [item for item in _numbered_lines(text) if item[1]]
         self._pos = 0
         self.last_line = self._items[-1][0] if self._items else 1
 
@@ -95,14 +103,16 @@ def _parse_int(token: str, line: int, column: int, what: str) -> int:
         raise ParseError(line, column, f"{what} must be an integer, got {token!r}") from None
 
 
-def _take_int_field(cur: _Lines, keyword: str) -> int:
-    line, text = cur.take(f"'{keyword} <n>'")
+def _int_field(item: tuple[int, str], keyword: str) -> int:
+    """The value of a numbered ``<keyword> <n>`` line."""
+    line, text = item
     parts = text.split()
     if not parts or parts[0] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {text!r}")
     if len(parts) != 2:
         raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
-    return _parse_int(parts[1], line, text.index(parts[1]) + 1, keyword)
+    column = text.index(parts[1], text.index(keyword) + len(keyword)) + 1
+    return _parse_int(parts[1], line, column, keyword)
 
 
 def _take_keyword(cur: _Lines, keyword: str) -> int:
@@ -149,12 +159,10 @@ def parse_scenario(text: str) -> Scenario:
     :func:`validate_scenario` rejects in the parsed scenario.
     """
     cur = _Lines(text)
-    rows = _take_int_field(cur, "rows")
-    cols = _take_int_field(cur, "cols")
-    if rows < 1:
-        raise ValidationError(f"rows must be positive, got {rows}")
-    if cols < 1:
-        raise ValidationError(f"cols must be positive, got {cols}")
+    rows = _int_field(cur.take("'rows <n>'"), "rows")
+    cols = _int_field(cur.take("'cols <n>'"), "cols")
+    if rows < 1 or cols < 1:  # checked before the grid is read
+        raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
     _take_keyword(cur, "grid")
     grid = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
 
@@ -213,43 +221,37 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ValidationError(
             f"auditorium must be at least 1x1, got {scenario.rows}x{scenario.cols}"
         )
-    taken: set[SeatCoord] = set()
-    for coord in scenario.initial_occupancy:
-        if not (1 <= coord.row <= scenario.rows and 1 <= coord.seat <= scenario.cols):
-            raise ValidationError(f"initial seat {tuple(coord)} out of bounds")
-        if coord in taken:
-            raise ValidationError(f"initial seat {tuple(coord)} occupied twice")
-        taken.add(coord)
     for size in scenario.arrivals:
         if size < 1:
             raise ValidationError(f"group size must be positive, got {size}")
-    if scenario.observed is None:
-        return
-    if len(scenario.observed) != len(scenario.arrivals):
+    observed = scenario.observed or ()
+    if scenario.observed is not None and len(observed) != len(scenario.arrivals):
         raise ValidationError(
-            f"observed covers {len(scenario.observed)} steps but arrivals lists "
+            f"observed covers {len(observed)} steps but arrivals lists "
             f"{len(scenario.arrivals)} groups"
         )
-    for index, (seats, size) in enumerate(
-        zip(scenario.observed, scenario.arrivals), start=1
-    ):
+    for index, (seats, size) in enumerate(zip(observed, scenario.arrivals), start=1):
         if len(seats) != size:
             raise ValidationError(
                 f"observed step {index} seats {len(seats)} people but the "
                 f"arriving group has size {size}"
             )
+    taken: set[SeatCoord] = set()
+    seat_sets = [("initial", scenario.initial_occupancy)]
+    seat_sets += [("observed", seats) for seats in observed]
+    for kind, seats in seat_sets:
         for coord in seats:
             if not (1 <= coord.row <= scenario.rows and 1 <= coord.seat <= scenario.cols):
-                raise ValidationError(f"observed seat {tuple(coord)} out of bounds")
+                raise ValidationError(f"{kind} seat {tuple(coord)} out of bounds")
             if coord in taken:
-                raise ValidationError(f"observed seat {tuple(coord)} occupied twice")
+                raise ValidationError(f"{kind} seat {tuple(coord)} occupied twice")
             taken.add(coord)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text for a scenario; ``parse_scenario`` inverts it exactly."""
     validate_scenario(scenario)
-    grid = Auditorium(scenario.rows, scenario.cols, scenario.initial_occupancy)
+    grid = scenario.initial_auditorium()
     lines = [f"rows {scenario.rows}", f"cols {scenario.cols}", "grid"]
     lines.extend(grid.to_rows())
     lines.append("arrivals")
@@ -265,22 +267,16 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def parse_choices(text: str) -> list[ChoiceRecord]:
     """Parse the blank-line separated choices format into records."""
-    blocks: list[list[tuple[int, str]]] = []
+    records = []
     block: list[tuple[int, str]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            if block:
-                blocks.append(block)
-                block = []
-            continue
-        if line.lstrip().startswith(";"):
-            continue
-        block.append((number, line))
-    if block:
-        blocks.append(block)
-
-    return [_parse_choice_block(lines) for lines in blocks]
+    # A blank entry appended at the end closes the last record.
+    for item in [*_numbered_lines(text), (0, "")]:
+        if item[1]:
+            block.append(item)
+        elif block:
+            records.append(_parse_choice_block(block))
+            block = []
+    return records
 
 
 def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
@@ -288,11 +284,7 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
         raise ParseError(
             lines[0][0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'"
         )
-    line, text = lines[0]
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "groups":
-        raise ParseError(line, 1, f"expected 'groups <k>', got {text!r}")
-    group_count = _parse_int(parts[1], line, text.index(parts[1]) + 1, "groups")
+    group_count = _int_field(lines[0], "groups")
 
     line, text = lines[1]
     if text.strip() != "grid":
@@ -304,7 +296,8 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     parts = chosen_text.split()
     if len(parts) != 2 or parts[0] != "chosen":
         raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {chosen_text!r}")
-    chosen = _parse_coord(parts[1], chosen_line, chosen_text.index(parts[1]) + 1)
+    column = chosen_text.index(parts[1], chosen_text.index("chosen") + len("chosen")) + 1
+    chosen = _parse_coord(parts[1], chosen_line, column)
     try:
         return ChoiceRecord(configuration=configuration, chosen=chosen, group_count=group_count)
     except ValueError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .entropy import entropy
@@ -118,29 +117,20 @@ def run_many(
 ) -> MeanTrajectory:
     """Aggregate ``runs`` independent runs seeded from ``master_seed``.
 
-    Run i uses ``derive_seed(master_seed, i)``. Aggregation always merges
-    in run-index order, so the result is byte-identical no matter how many
-    worker threads execute the runs.
+    Run i uses ``derive_seed(master_seed, i)``. Runs execute in-process, in
+    index order; ``workers`` (at least 1) is accepted but selects nothing,
+    so the result is the same for every worker count.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    seeds = [derive_seed(master_seed, i) for i in range(runs)]
-
-    def one_run(index: int) -> Trajectory:
+    trajectories = []
+    for run in range(runs):
         try:
-            return run_once(scenario, policy, seeds[index])
+            trajectories.append(run_once(scenario, policy, derive_seed(master_seed, run)))
         except NoFeasiblePlacement as exc:
-            raise NoFeasiblePlacement(
-                f"run {index}: {exc}", step=exc.step, run=index
-            ) from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajectories = list(pool.map(one_run, range(runs)))
-    else:
-        trajectories = [one_run(i) for i in range(runs)]
+            raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
     steps = len(trajectories[0])
     mean = []
     std = []

@@ -105,6 +105,19 @@ class TestParseScenario:
             parse_scenario("rows 1\ncols 3\ngrid\n....\narrivals\n")
         assert exc_info.value.line == 4
 
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("rows ows\n", 1, 6),  # the value's letters also occur in the keyword
+            ("rows 1\ncols o\n", 2, 6),
+        ],
+        ids=["rows", "cols"],
+    )
+    def test_value_column_is_searched_after_the_keyword(self, text, line, column):
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(text)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity_on_random_scenarios(self):
@@ -175,6 +188,49 @@ class TestParseChoices:
         assert records[0].chosen == SeatCoord(2, 2)
         assert records[0].configuration.occupied_count == 2
         assert records[1].configuration.rows == 1
+
+    def test_separators_and_comments(self):
+        text = (
+            "groups 1\n"
+            "grid\n"
+            "#..\n"
+            "chosen 1,3\n"
+            " \t \n"  # whitespace-only line: separates records
+            "groups 2\n"
+            "grid\n"
+            "#.#\n"
+            "   ; indented comment inside a record: does not split it\n"
+            "...\n"
+            "chosen 2,2\n"
+            "\n"
+            "; comment-only gap between two records\n"
+            "\n"
+            "groups 3\n"
+            "grid\n"
+            ".#\n"
+            "chosen 1,1\n"
+        )
+        records = parse_choices(text)
+        assert len(records) == 3
+        assert [r.chosen for r in records] == [
+            SeatCoord(1, 3), SeatCoord(2, 2), SeatCoord(1, 1)
+        ]
+        assert [r.configuration.to_rows() for r in records] == [
+            ["#.."], ["#.#", "..."], [".#"]
+        ]
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("groups s\ngrid\n#..\nchosen 1,2\n", 1, 8),
+            ("groups 1\ngrid\n#..\nchosen e\n", 4, 8),
+        ],
+        ids=["groups", "chosen"],
+    )
+    def test_value_column_is_searched_after_the_keyword(self, text, line, column):
+        with pytest.raises(ParseError) as exc_info:
+            parse_choices(text)
+        assert (exc_info.value.line, exc_info.value.column) == (line, column)
 
     def test_empty_file_gives_no_records(self):
         assert parse_choices("") == []

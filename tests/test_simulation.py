@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 
 import pytest
 
@@ -112,6 +113,16 @@ class TestRunMany:
         again = run_many(sc, "space", 60, 42)
         threaded = run_many(sc, "space", 60, 42, workers=4)
         assert base == again == threaded
+
+    def test_runs_start_no_thread(self, monkeypatch):
+        sc = small_scenario()
+        serial = run_many(sc, "space", 20, 0, workers=1)
+
+        def refuse(self):
+            raise AssertionError("run_many started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_many(sc, "space", 20, 0, workers=4) == serial
 
     def test_matches_manual_aggregation(self):
         sc = small_scenario()
