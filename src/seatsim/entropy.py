@@ -9,7 +9,7 @@ bounded by rows * (cols - 1)**2, attained when every row alternates.
 
 from __future__ import annotations
 
-from .grid import Auditorium
+from .grid import Auditorium, _flips
 
 
 class RowOutOfRange(Exception):
@@ -20,12 +20,13 @@ def row_transitions(aud: Auditorium, row: int) -> int:
     """Number of empty/occupied flips between adjacent seats in one row."""
     if not 1 <= row <= aud.rows:
         raise RowOutOfRange(f"row {row} outside 1..{aud.rows}")
-    x = aud.row_mask(row)
-    inner = (1 << (aud.cols - 1)) - 1
-    return ((x ^ x >> 1) & inner).bit_count()
+    return _flips(aud.row_mask(row), aud.cols)
 
 
 def entropy(aud: Auditorium) -> int:
-    """Sum over rows of the squared transition count."""
-    inner = (1 << (aud.cols - 1)) - 1
-    return sum(((x ^ x >> 1) & inner).bit_count() ** 2 for x in aud._masks)
+    """Sum over rows of the squared transition count.
+
+    The auditorium keeps this sum up to date as seats are taken, so the
+    call costs nothing.
+    """
+    return aud._entropy

@@ -4,13 +4,15 @@ Rows are numbered 1..rows starting from the back of the hall, seats
 1..cols from left to right. An arriving group claims a contiguous
 horizontal run of seats in a single row (a :class:`Placement`).
 
-Each row is stored as an int bitmask with bit ``s-1`` set when seat ``s``
-is taken. Sets of same-size placements are kept the same way, one mask of
-start seats per row (:class:`PlacementSet`). Free runs of k seats start
-where ``f & f>>1 & ... & f>>(k-1)`` is set, ``f`` being the free seats;
-growing the occupied seats by one Manhattan step at a time
-(``x | x<<1 | x>>1 | row above | row below``, morphological dilation)
-tells which runs lie at each distance from the nearest occupant.
+The whole hall is one int, a padded bitboard: with ``W = cols + 1``, seat
+``s`` of row ``r`` is bit ``(r-1)*W + s-1``; bit ``(r-1)*W + cols`` is a
+guard, never a seat. Row-major order is ascending bit order. A set of
+same-size placements is one int the same way, a bit per start seat
+(:class:`PlacementSet`). Free runs of k seats start where ``f & f>>1 &
+... & f>>(k-1)`` is set, ``f`` being the free seats; no run crosses the
+guard. Growing the occupants one Manhattan step at a time (``g | g<<1 |
+g>>1 | g<<W | g>>W``, masked to the seats) tells which runs lie at each
+distance from the nearest occupant.
 """
 
 from __future__ import annotations
@@ -39,10 +41,8 @@ class Placement(NamedTuple):
 
     def seats(self) -> tuple[SeatCoord, ...]:
         """All seats covered by the placement, left to right."""
-        return tuple(
-            SeatCoord(self.row, s)
-            for s in range(self.start_seat, self.start_seat + self.size)
-        )
+        start = self.start_seat
+        return tuple(SeatCoord(self.row, s) for s in range(start, start + self.size))
 
     def min_distance_to(self, coord: SeatCoord) -> int:
         """Smallest Manhattan distance from any covered seat to ``coord``.
@@ -64,18 +64,28 @@ def manhattan_distance(p: SeatCoord, q: SeatCoord) -> int:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
-def _round_half_up_ratio(numerator: int, denominator: int) -> int:
-    # round(numerator/denominator) with ties going up; exact for the
-    # non-negative integers that occur here.
-    return (2 * numerator + denominator) // (2 * denominator)
-
-
 def _seat_numbers(mask: int) -> Iterator[int]:
-    """Seat numbers of the set bits, ascending."""
+    """1-based numbers of the set bits, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length()
         mask ^= low
+
+
+def _seat_bits(rows: int, width: int) -> int:
+    """Every seat bit of ``rows`` rows: ``width - 1`` ones every ``width`` bits."""
+    return ((1 << width - 1) - 1) * ((1 << width * rows) - 1) // ((1 << width) - 1)
+
+
+def _dilate(bits: int, width: int, seats: int) -> int:
+    """One Manhattan step: each bit also covers its four neighbours;
+    masking by ``seats`` drops what lands on a guard or off the hall."""
+    return (bits | bits << 1 | bits >> 1 | bits << width | bits >> width) & seats
+
+
+def _flips(mask: int, cols: int) -> int:
+    """Empty/occupied flips between adjacent seats of one row's mask."""
+    return ((mask ^ mask >> 1) & ((1 << cols - 1) - 1)).bit_count()
 
 
 _GRID_BITS = str.maketrans(".#", "01")
@@ -88,107 +98,113 @@ def mask_from_text(text: str) -> int:
 
 
 class PlacementSet:
-    """Placements of one size, as a mask of start seats per row.
-
-    Iterates in row-major order, so ``pick`` consumes the rng exactly as
-    ``options[rng.randrange(len(options))]`` over the listed placements.
+    """Placements of one size, a bit per start seat on a padded board
+    ``width`` bits a row. Iterates in row-major order, so ``pick`` consumes
+    the rng exactly as ``options[rng.randrange(len(options))]`` would.
     """
 
-    __slots__ = ("size", "starts")
+    __slots__ = ("size", "bits", "width")
 
-    def __init__(self, size: int, starts: list[int]):
-        self.size = size
-        self.starts = starts
+    def __init__(self, size: int, bits: int, width: int):
+        self.size, self.bits, self.width = size, bits, width
+
+    @classmethod
+    def from_rows(cls, size: int, cols: int, starts: Sequence[int]) -> PlacementSet:
+        """From a mask of start seats per row; bit ``s-1`` is seat ``s``."""
+        width = cols + 1
+        return cls(size, sum(mask << r * width for r, mask in enumerate(starts)), width)
+
+    @property
+    def starts(self) -> list[int]:
+        """The mask of start seats of each row, up to the last non-empty one."""
+        full, rows = (1 << self.width - 1) - 1, -(-self.bits.bit_length() // self.width)
+        return [self.bits >> r * self.width & full for r in range(rows)]
 
     def __iter__(self) -> Iterator[Placement]:
-        for r, mask in enumerate(self.starts, start=1):
-            for s in _seat_numbers(mask):
-                yield Placement(r, s, self.size)
+        for n in _seat_numbers(self.bits):
+            row, seat = divmod(n - 1, self.width)
+            yield Placement(row + 1, seat + 1, self.size)
 
     def __len__(self) -> int:
-        return sum(mask.bit_count() for mask in self.starts)
+        return self.bits.bit_count()
 
     def __bool__(self) -> bool:
-        return any(self.starts)
+        return bool(self.bits)
 
     def __sub__(self, other: PlacementSet) -> PlacementSet:
-        return PlacementSet(self.size, [a & ~b for a, b in zip(self.starts, other.starts)])
+        return PlacementSet(self.size, self.bits & ~other.bits, self.width)
 
     def closest_to(self, point: SeatCoord) -> PlacementSet:
         """The placements at the smallest Manhattan distance from ``point``,
         measured from their nearest member seat.
 
-        Ranked per row in closed form: starts whose run covers the point's
-        seat are level with it; otherwise only the nearest start on each
-        side can be closest, and both tie when equally far.
+        The starts whose run covers the point's seat are at distance 0, and
+        grown by d Manhattan steps they are the starts within d; so grow
+        them until they meet the set, and keep what they meet.
         """
+        if not self.bits:
+            return self
         row, seat = point
-        lowest = max(seat - self.size, 0)  # bit of the leftmost covering start
-        left_of = (1 << lowest) - 1
-        covering = ((1 << seat) - 1) & ~left_of
-        ranked = []
-        for r, mask in enumerate(self.starts, start=1):
-            nearest, gap = mask & covering, 0
-            if mask and not nearest:
-                sides = []
-                if left := mask & left_of:
-                    # The run of start s ends at seat s + size - 1.
-                    s = left.bit_length()
-                    sides.append((seat - s - self.size + 1, 1 << (s - 1)))
-                if right := mask >> seat << seat:
-                    low = right & -right
-                    sides.append((low.bit_length() - seat, low))
-                gap = min(sides)[0]
-                nearest = sum(bit for d, bit in sides if d == gap)
-            ranked.append((abs(r - row) + gap if nearest else math.inf, nearest))
-        closest = min(d for d, _ in ranked)
-        return PlacementSet(self.size, [m if d == closest else 0 for d, m in ranked])
+        width = self.width
+        seats = _seat_bits(max(row, -(-self.bits.bit_length() // width)), width)
+        ball = ((1 << seat) - (1 << max(seat - self.size, 0))) << (row - 1) * width
+        while not ball & self.bits:
+            ball = _dilate(ball, width, seats)
+        return PlacementSet(self.size, ball & self.bits, width)
 
     def pick(self, rng: random.Random) -> Placement:
         """The n-th placement in row-major order, ``n = rng.randrange(len(self))``."""
-        n = rng.randrange(len(self))
-        for r, mask in enumerate(self.starts, start=1):
-            count = mask.bit_count()
-            if n < count:
-                for _ in range(n):
-                    mask &= mask - 1
-                return Placement(r, (mask & -mask).bit_length(), self.size)
-            n -= count
-        raise AssertionError("rank beyond the set")
+        bits, total = self.bits, len(self)
+        above = total - rng.randrange(total)  # set bits from the n-th one up
+        # Bisect for the highest bit with that many set bits from it up.
+        low, high = 0, bits.bit_length()
+        while high - low > 1:
+            mid = (low + high) // 2
+            if (bits >> mid).bit_count() >= above:
+                low = mid
+            else:
+                high = mid
+        row, seat = divmod(low, self.width)
+        return Placement(row + 1, seat + 1, self.size)
 
 
 class Auditorium:
     """Mutable rows x cols grid of occupied/empty seats.
 
-    The state is one bitmask per row plus the occupant count and the sums
-    of occupied row and seat numbers (for the center of mass).
+    The state is one int, a bit per seat in the padded layout of the module
+    docstring (``_valid`` has every seat bit set), plus the occupant count,
+    the sums of occupied row and seat numbers (for the center of mass) and
+    the entropy score, all kept up to date as seats are taken.
     ``occupy``/``occupy_seats`` are the only mutators and only ever flip
     seats from empty to occupied. Placement and distance queries are
-    computed from the masks on each call; nothing is cached.
+    computed from the board on each call; nothing is cached.
     """
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        occupied: Iterable[tuple[int, int]] = (),
-    ) -> None:
+    def __init__(self, rows: int, cols: int, occupied: Iterable[tuple[int, int]] = ()):
         if rows < 1 or cols < 1:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
-        self.rows = rows
-        self.cols = cols
-        self._masks = [0] * rows
-        self._count = 0
-        self._row_sum = 0
-        self._seat_sum = 0
+        self.rows, self.cols, self._width = rows, cols, cols + 1
+        self._valid = _seat_bits(rows, cols + 1)
+        self._board = self._count = self._row_sum = self._seat_sum = self._entropy = 0
         self.occupy_seats(occupied)
 
     @classmethod
     def _from_masks(cls, cols: int, masks: list[int]) -> Auditorium:
+        # The parsers build a hall per record: one pass over the rows, then
+        # the seat sum a column in use at a time, beats per-row ``_add`` calls.
         aud = cls(len(masks), cols)
-        for r, mask in enumerate(masks, start=1):
+        board = row_sum = score = used = 0
+        inner = (1 << cols - 1) - 1  # as in ``_flips``, without a call per row
+        for r, mask in enumerate(masks):
             if mask:
-                aud._add(r, mask)
+                board |= mask << r * aud._width
+                row_sum += (r + 1) * mask.bit_count()
+                score += ((mask ^ mask >> 1) & inner).bit_count() ** 2
+                used |= mask
+        rep = aud._valid // ((1 << cols) - 1)  # the first seat of each row
+        aud._seat_sum = sum(s * (board & rep << s - 1).bit_count() for s in _seat_numbers(used))
+        aud._board, aud._count = board, board.bit_count()
+        aud._row_sum, aud._entropy = row_sum, score
         return aud
 
     @classmethod
@@ -206,38 +222,33 @@ class Auditorium:
 
     def to_rows(self) -> list[str]:
         """Inverse of :meth:`from_rows`."""
-        return [
-            format(mask, f"0{self.cols}b")[::-1].translate(_GRID_CHARS)
-            for mask in self._masks
-        ]
+        masks = (self._row(r) for r in range(1, self.rows + 1))
+        return [format(m, f"0{self.cols}b")[::-1].translate(_GRID_CHARS) for m in masks]
 
     def copy(self) -> Auditorium:
-        return Auditorium._from_masks(self.cols, self._masks)
+        dup = object.__new__(Auditorium)
+        dup.__dict__.update(self.__dict__)  # every field is an int
+        return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Auditorium):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._masks == other._masks
-        )
+        return (self.rows, self.cols, self._board) == (other.rows, other.cols, other._board)
 
     def __repr__(self) -> str:
-        return (
-            f"Auditorium({self.rows}x{self.cols}, "
-            f"{self._count}/{self.rows * self.cols} occupied)"
-        )
+        occupied = f"{self._count}/{self.rows * self.cols} occupied"
+        return f"Auditorium({self.rows}x{self.cols}, {occupied})"
 
     def _check_bounds(self, row: int, seat: int) -> None:
         if not (1 <= row <= self.rows and 1 <= seat <= self.cols):
-            raise ValueError(
-                f"seat ({row},{seat}) outside {self.rows}x{self.cols} auditorium"
-            )
+            raise ValueError(f"seat ({row},{seat}) outside {self.rows}x{self.cols} auditorium")
+
+    def _row(self, row: int) -> int:
+        return self._board >> (row - 1) * self._width & (1 << self.cols) - 1
 
     def is_occupied(self, row: int, seat: int) -> bool:
         self._check_bounds(row, seat)
-        return bool(self._masks[row - 1] >> (seat - 1) & 1)
+        return bool(self._board >> (row - 1) * self._width + seat - 1 & 1)
 
     @property
     def occupied_count(self) -> int:
@@ -245,16 +256,13 @@ class Auditorium:
 
     def occupied_seats(self) -> list[SeatCoord]:
         """All occupied seats in row-major order."""
-        return [
-            SeatCoord(r, s)
-            for r, mask in enumerate(self._masks, start=1)
-            for s in _seat_numbers(mask)
-        ]
+        rows = range(1, self.rows + 1)
+        return [SeatCoord(r, s) for r in rows for s in _seat_numbers(self._row(r))]
 
     def row_mask(self, row: int) -> int:
         """Occupancy bitmask of one row; bit ``s-1`` is seat ``s``."""
         self._check_bounds(row, 1)
-        return self._masks[row - 1]
+        return self._row(row)
 
     def row_occupancy(self, row: int) -> Sequence[bool]:
         """Occupancy flags of one row, left to right."""
@@ -262,69 +270,69 @@ class Auditorium:
         return [bool(mask >> s & 1) for s in range(self.cols)]
 
     def _add(self, row: int, bits: int) -> None:
-        # Occupy the empty seats ``bits`` of ``row``.
-        count = bits.bit_count()
-        self._masks[row - 1] |= bits
+        # Occupy the empty seats ``bits`` of ``row``; only that row's
+        # flips change, so the score moves by new flips² - old flips².
+        count, old = bits.bit_count(), self._row(row)
+        self._board |= bits << (row - 1) * self._width
         self._count += count
         self._row_sum += row * count
         self._seat_sum += sum(_seat_numbers(bits))
+        self._entropy += _flips(old | bits, self.cols) ** 2 - _flips(old, self.cols) ** 2
 
     def occupy(self, placement: Placement) -> None:
         """Seat a group on ``placement``; every covered seat must be empty.
 
         Raises :class:`SeatConflict` (leaving the grid unchanged) if any
-        covered seat is already taken; a conflict here means the caller
-        selected an infeasible placement.
+        covered seat is already taken, a sign that the caller selected an
+        infeasible placement. As in :meth:`occupy_seats`, the first seat,
+        left to right, that is taken or outside the hall decides the error.
         """
-        self.occupy_seats(placement.seats())
+        row, start, size = placement
+        if size < 1:
+            return  # covers no seat
+        self._check_bounds(row, start)
+        run = (1 << min(start + size - 1, self.cols)) - (1 << start - 1)
+        if taken := self._row(row) & run:
+            raise SeatConflict(f"seat ({row},{(taken & -taken).bit_length()}) is already occupied")
+        self._check_bounds(row, min(start + size - 1, self.cols + 1))
+        self._add(row, run)
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats (used when replaying recorded placements)."""
-        staged = [0] * self.rows
+        staged: dict[int, int] = {}
         for row, seat in coords:
             self._check_bounds(row, seat)
             bit = 1 << (seat - 1)
-            if (self._masks[row - 1] | staged[row - 1]) & bit:
+            if (self._row(row) | staged.get(row, 0)) & bit:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
-            staged[row - 1] |= bit
-        for r, bits in enumerate(staged, start=1):
-            if bits:
-                self._add(r, bits)
+            staged[row] = staged.get(row, 0) | bit
+        for row, bits in staged.items():
+            self._add(row, bits)
 
-    def _run_starts(self, blocked: list[int], size: int) -> list[int]:
-        # Per row, the seats that start ``size`` seats clear of ``blocked``.
+    def _run_starts(self, blocked: int, size: int) -> int:
+        # The seats that start ``size`` seats clear of ``blocked``.
         if size < 1:
             raise ValueError(f"group size must be positive, got {size}")
-        full = (1 << self.cols) - 1
-        starts = []
-        for mask in blocked:
-            free = run = ~mask & full
-            for shift in range(1, size):
-                run &= free >> shift
-            starts.append(run)
-        return starts
+        free = run = ~blocked & self._valid
+        for shift in range(1, size):
+            run &= free >> shift
+        return run
 
-    def _grow(self, masks: list[int]) -> list[int]:
-        # One Manhattan step of dilation: each seat also covers its four
-        # neighbours.
-        full = (1 << self.cols) - 1
-        padded = [0, *masks, 0]
-        return [
-            (x | x << 1 | x >> 1 | above | below) & full
-            for above, x, below in zip(padded, masks, padded[2:])
-        ]
+    def _grow(self, grown: int) -> int:
+        # One Manhattan step of dilation of the (grown) occupants.
+        return _dilate(grown, self._width, self._valid)
 
     def _free(self, size: int) -> PlacementSet:
-        return PlacementSet(size, self._run_starts(self._masks, size))
+        return PlacementSet(size, self._run_starts(self._board, size), self._width)
 
     def _clearances(self, size: int) -> Iterator[PlacementSet]:
         """Feasible placements clear of the occupants grown by 0, 1, 2, ...
         steps: the d-th set is those farther than d from every occupant.
         Endless; each set costs one growth step, so take only those needed.
         """
-        grown = self._masks
+        grown = self._board
         while True:
-            yield PlacementSet(size, self._run_starts(grown, size))
+            yield PlacementSet(size, self._run_starts(grown, size), self._width)
             grown = self._grow(grown)
 
     def _farthest(self, size: int) -> PlacementSet:
@@ -351,19 +359,19 @@ class Auditorium:
         every integer distance, so lower-bound filters accept it naturally.
         """
         row, start, size = placement
+        if size < 1:
+            raise ValueError(f"group size must be positive, got {size}")
         self._check_bounds(row, start)
         self._check_bounds(row, start + size - 1)
         if not self._count:
             return math.inf
-        run = ((1 << size) - 1) << (start - 1)
-        grown, distance = self._masks, 0
-        while not grown[row - 1] & run:
+        run = ((1 << size) - 1) << (row - 1) * self._width + start - 1
+        grown, distance = self._board, 0
+        while not grown & run:
             grown, distance = self._grow(grown), distance + 1
         return distance
 
-    def placements_with_distances(
-        self, size: int
-    ) -> tuple[tuple[Placement, float], ...]:
+    def placements_with_distances(self, size: int) -> tuple[tuple[Placement, float], ...]:
         """Feasible placements paired with their nearest-occupied distance."""
         if not self._count:
             return tuple((pl, math.inf) for pl in self._free(size))
@@ -379,7 +387,5 @@ class Auditorium:
         """Mean occupied row and seat, each rounded half-up; None if empty."""
         if self._count == 0:
             return None
-        return SeatCoord(
-            _round_half_up_ratio(self._row_sum, self._count),
-            _round_half_up_ratio(self._seat_sum, self._count),
-        )
+        n = self._count  # round(sum / n) with ties going up, exact in integers
+        return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))

@@ -90,7 +90,7 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     center and all candidates tie.
 
     Finding the candidates takes one growth step of the occupants; they
-    are ranked per row in closed form, without listing them
+    are ranked by a ball grown around the center, without listing them
     (:meth:`PlacementSet.closest_to`).
     """
     free, candidates = _clear_of(aud, size, 1)

@@ -115,11 +115,11 @@ def _int_field(item: tuple[int, str], keyword: str) -> int:
     return _parse_int(parts[1], line, column, keyword)
 
 
-def _take_keyword(cur: _Lines, keyword: str) -> int:
-    line, text = cur.take(f"'{keyword}'")
+def _keyword(item: tuple[int, str], keyword: str) -> None:
+    """Check that a numbered line holds only ``keyword``."""
+    line, text = item
     if text.strip() != keyword:
         raise ParseError(line, 1, f"expected '{keyword}', got {text!r}")
-    return line
 
 
 def _parse_coord(token: str, line: int, column: int) -> SeatCoord:
@@ -163,10 +163,10 @@ def parse_scenario(text: str) -> Scenario:
     cols = _int_field(cur.take("'cols <n>'"), "cols")
     if rows < 1 or cols < 1:  # checked before the grid is read
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
-    _take_keyword(cur, "grid")
+    _keyword(cur.take("'grid'"), "grid")
     grid = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
 
-    _take_keyword(cur, "arrivals")
+    _keyword(cur.take("'arrivals'"), "arrivals")
     arrivals: list[int] = []
     item = cur.peek()
     if item is not None and item[1].strip() != "observed":
@@ -286,9 +286,7 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
         )
     group_count = _int_field(lines[0], "groups")
 
-    line, text = lines[1]
-    if text.strip() != "grid":
-        raise ParseError(line, 1, f"expected 'grid', got {text!r}")
+    _keyword(lines[1], "grid")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
     configuration = _read_grid(grid_lines, len(grid_lines[0][1]))

@@ -131,13 +131,8 @@ def run_many(
             trajectories.append(run_once(scenario, policy, derive_seed(master_seed, run)))
         except NoFeasiblePlacement as exc:
             raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
-    steps = len(trajectories[0])
-    mean = []
-    std = []
-    low = []
-    high = []
-    for t in range(steps):
-        column = [traj[t] for traj in trajectories]
+    mean, std, low, high = [], [], [], []
+    for column in zip(*trajectories):
         m = sum(column) / runs
         mean.append(m)
         std.append(math.sqrt(sum((x - m) ** 2 for x in column) / runs))

@@ -5,8 +5,22 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from seatsim import Auditorium, Placement, RowOutOfRange, entropy, row_transitions
-from support import entropy_bf, mirrored, occupied_cells, random_auditorium
+from seatsim import (
+    Auditorium,
+    Placement,
+    RowOutOfRange,
+    SeatConflict,
+    entropy,
+    parse_choices,
+    row_transitions,
+)
+from support import (
+    entropy_bf,
+    feasible_placements_bf,
+    mirrored,
+    occupied_cells,
+    random_auditorium,
+)
 
 
 def test_fully_occupied_row_scores_zero():
@@ -113,3 +127,67 @@ def test_single_seat_addition_changes_one_row_by_bounded_amount():
         assert abs(after_row - before_row) <= 2
         assert entropy(aud) - before == after_row**2 - before_row**2
         assert abs(entropy(aud) - before) <= (before_row + 2) ** 2 - before_row**2
+
+
+class TestKeptUpToDate:
+    """The auditorium updates the score as seats are taken; after every
+    way of building or changing one it must equal the recount. Halls of
+    one row or one seat per row are included: a row of one seat has no
+    neighbours to flip against."""
+
+    DIMENSIONS = [(1, 1), (1, 8), (5, 1), (2, 2), (4, 7)]
+
+    @pytest.mark.parametrize("rows, cols", DIMENSIONS)
+    @given(data=st.data())
+    def test_after_every_mutation(self, rows, cols, data):
+        cells = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)]
+        aud = Auditorium(rows, cols, data.draw(st.lists(st.sampled_from(cells), unique=True)))
+        assert entropy(aud) == entropy_bf(aud)
+        rebuilt = [
+            Auditorium.from_rows(aud.to_rows()),
+            Auditorium._from_masks(cols, [aud.row_mask(r) for r in range(1, rows + 1)]),
+            aud.copy(),
+        ]
+        for other in rebuilt:
+            assert other == aud and entropy(other) == entropy_bf(other) == entropy(aud)
+            assert other.occupied_count == aud.occupied_count
+            assert other.center_of_mass() == aud.center_of_mass()
+        for _ in range(data.draw(st.integers(1, 8))):
+            empty = [c for c in cells if not aud.is_occupied(*c)]
+            taken = [c for c in cells if aud.is_occupied(*c)]
+            action = data.draw(st.sampled_from(["occupy", "seats", "copy", "conflict"]))
+            if action == "occupy" and empty:
+                size = data.draw(st.integers(1, cols))
+                options = feasible_placements_bf(aud, size)
+                if options:
+                    aud.occupy(data.draw(st.sampled_from(options)))
+            elif action == "seats" and empty:
+                aud.occupy_seats(data.draw(st.lists(st.sampled_from(empty), unique=True)))
+            elif action == "copy":
+                original, score = aud, entropy(aud)
+                aud = aud.copy()
+                if empty:
+                    aud.occupy_seats([data.draw(st.sampled_from(empty))])
+                assert entropy(original) == score == entropy_bf(original)
+            elif action == "conflict" and taken:
+                score = entropy(aud)
+                with pytest.raises(SeatConflict):
+                    aud.occupy_seats([*empty[:1], data.draw(st.sampled_from(taken))])
+                assert entropy(aud) == score
+            assert entropy(aud) == entropy_bf(aud)
+
+    @pytest.mark.parametrize("rows, cols", DIMENSIONS)
+    @given(data=st.data())
+    def test_parsed_choice_grids(self, rows, cols, data):
+        flags = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+        lines = [
+            "".join("#" if flags[r * cols + s] else "." for s in range(cols))
+            for r in range(rows)
+        ]
+        empty = [(r + 1, s + 1) for r in range(rows) for s in range(cols) if lines[r][s] == "."]
+        if not empty or len(empty) == rows * cols:
+            return  # a record needs someone seated and a free seat to choose
+        chosen = data.draw(st.sampled_from(empty))
+        text = "groups 1\ngrid\n" + "\n".join(lines) + f"\nchosen {chosen[0]},{chosen[1]}\n"
+        (record,) = parse_choices(text)
+        assert entropy(record.configuration) == entropy_bf(record.configuration)

@@ -171,6 +171,14 @@ class TestMinDistanceToSeated:
         aud.occupy(Placement(3, 1, 1))
         assert aud.min_distance_to_seated(pl) == min_distance_bf(aud, pl) == 4
 
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("seated", [[(1, 1)], []])
+    def test_nonpositive_size_is_rejected(self, size, seated):
+        # A run of no seats never meets an occupant, however far they grow.
+        aud = Auditorium(3, 5, seated)
+        with pytest.raises(ValueError, match="group size must be positive"):
+            aud.min_distance_to_seated(Placement(2, 3, size))
+
 
 class TestCenterOfMass:
     def test_single_occupant(self):
@@ -239,14 +247,14 @@ class TestClosestTo:
     )
     def test_examples_on_a_row_of_nine(self, size, starts, point, expected):
         mask = sum(1 << (s - 1) for s in starts)
-        found = PlacementSet(size, [mask]).closest_to(SeatCoord(*point))
+        found = PlacementSet.from_rows(size, 9, [mask]).closest_to(SeatCoord(*point))
         assert list(found) == [Placement(1, s, size) for s in expected]
 
     def test_every_row_of_starts_and_every_seat(self):
         cols = 7
         for size in (1, 2, 3, 4):
             for mask in range(1 << (cols - size + 1)):
-                starts = PlacementSet(size, [mask])
+                starts = PlacementSet.from_rows(size, cols, [mask])
                 for seat in range(1, cols + 1):
                     point = SeatCoord(1, seat)
                     assert set(starts.closest_to(point)) == closest_bf(starts, point)
@@ -257,7 +265,7 @@ class TestClosestTo:
             rows, cols = rng.randint(1, 6), rng.randint(4, 14)
             size = rng.randint(1, 4)
             density = rng.random()
-            starts = PlacementSet(size, [
+            starts = PlacementSet.from_rows(size, cols, [
                 sum(1 << b for b in range(cols - size + 1) if rng.random() < density)
                 for _ in range(rows)
             ])
@@ -265,6 +273,87 @@ class TestClosestTo:
             found = starts.closest_to(point)
             assert set(found) == closest_bf(starts, point)
             assert all(mask == 0 for mask in found.starts[rows:])
+
+
+class TestGuardColumn:
+    """Each row is followed by a guard bit that is never a seat, so free
+    runs and growth steps stay inside their row and inside the hall."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_no_run_spans_a_row_boundary(self, cols, size):
+        rng = random.Random(cols * 10 + size)
+        for rows in (2, 3, 5):
+            for r in range(1, rows):
+                for tail in range(1, size):
+                    # Row r ends in `tail` free seats and row r+1 starts
+                    # with `size - tail`: together they would fit the group.
+                    free = {(r, s) for s in range(cols - tail + 1, cols + 1)}
+                    free |= {(r + 1, s) for s in range(1, size - tail + 1)}
+                    walls = {(r, cols - tail), (r + 1, size - tail + 1)}
+                    occupied = [
+                        (row, s)
+                        for row in range(1, rows + 1)
+                        for s in range(1, cols + 1)
+                        if (row, s) not in free
+                        and ((row, s) in walls or rng.random() < 0.5)
+                    ]
+                    aud = Auditorium(rows, cols, occupied)
+                    assert list(aud.feasible_placements(size)) == feasible_placements_bf(aud, size)
+
+    @given(auditoriums(max_rows=6, max_cols=9))
+    def test_growth_stays_on_the_seats(self, aud):
+        width = aud.cols + 1
+        guards = sum(1 << (r * width + aud.cols) for r in range(aud.rows))
+        grown = aud._board
+        for _ in range(aud.rows + aud.cols):
+            grown = aud._grow(grown)
+            assert grown & guards == 0
+            assert grown >> (aud.rows * width) == 0
+        if aud.occupied_count:
+            assert grown.bit_count() == aud.rows * aud.cols
+
+
+class _FixedDraw:
+    """Stands in for the rng: ``randrange`` returns a fixed index."""
+
+    def __init__(self, n):
+        self.n = n
+        self.stops = []
+
+    def randrange(self, stop):
+        self.stops.append(stop)
+        return self.n
+
+
+class TestPick:
+    def test_draws_the_nth_placement_in_row_major_order(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 14)
+            size = rng.randint(1, min(cols, 4))
+            span = cols - size + 1
+            masks = [
+                sum(1 << b for b in range(span) if rng.random() < rng.random())
+                for _ in range(rows)
+            ]
+            # Starts next to a guard: the last seat of a row, the first of
+            # the next one.
+            for r in rng.sample(range(rows), rng.randint(0, rows)):
+                masks[r] |= 1 << (span - 1) | 1
+            placements = PlacementSet.from_rows(size, cols, masks)
+            expected = [
+                Placement(r, s, size)
+                for r, mask in enumerate(masks, start=1)
+                for s in range(1, cols + 1)
+                if mask >> (s - 1) & 1
+            ]
+            assert list(placements) == expected
+            assert len(placements) == len(expected)
+            for n in range(len(expected)):
+                draw = _FixedDraw(n)
+                assert placements.pick(draw) == expected[n]
+                assert draw.stops == [len(expected)]
 
 
 class TestOccupy:
@@ -312,6 +401,27 @@ class TestOccupy:
         with pytest.raises(SeatConflict):
             aud.occupy_seats([(1, 1), (1, 1)])
         assert aud.occupied_count == 0
+
+    def test_same_outcome_as_occupying_each_seat(self):
+        # occupy sets the run in one step; it must fail exactly where
+        # occupying the seats one by one, left to right, fails first.
+        def outcome(aud, act):
+            try:
+                act()
+            except (SeatConflict, ValueError) as exc:
+                return type(exc), str(exc), aud.to_rows()
+            return None, "", aud.to_rows()
+
+        rng = random.Random(90)
+        for _ in range(300):
+            aud = random_auditorium(rng, max_density=0.5)
+            pl = Placement(
+                rng.randint(0, aud.rows + 1), rng.randint(-1, aud.cols + 1), rng.randint(-1, 5)
+            )
+            whole, seatwise = aud.copy(), aud.copy()
+            assert outcome(whole, lambda: whole.occupy(pl)) == outcome(
+                seatwise, lambda: seatwise.occupy_seats(pl.seats())
+            )
 
     def test_out_of_bounds_rejected(self):
         aud = Auditorium(2, 2)
