@@ -11,13 +11,14 @@ same-size placements is one int the same way, a bit per start seat
 (:class:`PlacementSet`). Free runs of k seats start where ``f & f>>1 &
 ... & f>>(k-1)`` is set, ``f`` being the free seats; no run crosses the
 guard. Growing the occupants one Manhattan step at a time (``g | g<<1 |
-g>>1 | g<<W | g>>W``, masked to the seats) tells which runs lie at each
-distance from the nearest occupant.
+g>>1 | g<<W | g>>W``, masked to the seats, ``Auditorium._grow``) d times
+blocks every seat within d of someone seated, so the run starts clear of
+that (``Auditorium._run_starts``) are the placements farther than d from
+every occupant. The rules filter these ints and wrap only their final set.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -127,12 +128,6 @@ class PlacementSet:
 
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return bool(self.bits)
-
-    def __sub__(self, other: PlacementSet) -> PlacementSet:
-        return PlacementSet(self.size, self.bits & ~other.bits, self.width)
 
     def closest_to(self, point: SeatCoord) -> PlacementSet:
         """The placements at the smallest Manhattan distance from ``point``,
@@ -269,14 +264,15 @@ class Auditorium:
         mask = self.row_mask(row)
         return [bool(mask >> s & 1) for s in range(self.cols)]
 
-    def _add(self, row: int, bits: int) -> None:
-        # Occupy the empty seats ``bits`` of ``row``; only that row's
-        # flips change, so the score moves by new flips² - old flips².
+    def _add(self, row: int, bits: int, seat_sum: int) -> None:
+        # Occupy the empty seats ``bits`` of ``row``, whose numbers sum to
+        # ``seat_sum``; only that row's flips change, so the score moves
+        # by new flips² - old flips².
         count, old = bits.bit_count(), self._row(row)
         self._board |= bits << (row - 1) * self._width
         self._count += count
         self._row_sum += row * count
-        self._seat_sum += sum(_seat_numbers(bits))
+        self._seat_sum += seat_sum
         self._entropy += _flips(old | bits, self.cols) ** 2 - _flips(old, self.cols) ** 2
 
     def occupy(self, placement: Placement) -> None:
@@ -286,16 +282,22 @@ class Auditorium:
         covered seat is already taken, a sign that the caller selected an
         infeasible placement. As in :meth:`occupy_seats`, the first seat,
         left to right, that is taken or outside the hall decides the error.
+        A size below 1 raises ``ValueError``.
         """
         row, start, size = placement
         if size < 1:
-            return  # covers no seat
+            raise ValueError(f"group size must be positive, got {size}")
+        # A run from a seat of the hall is free and inside it unless it
+        # meets an occupant, a guard or the bits past the last row.
+        if row > 0 and 0 < start <= self.cols:
+            run = ((1 << size) - 1) << start - 1
+            if not run << (row - 1) * self._width & (self._board | ~self._valid):
+                self._add(row, run, size * start + size * (size - 1) // 2)
+                return
         self._check_bounds(row, start)
-        run = (1 << min(start + size - 1, self.cols)) - (1 << start - 1)
-        if taken := self._row(row) & run:
+        if taken := self._row(row) & ((1 << size) - 1) << start - 1:
             raise SeatConflict(f"seat ({row},{(taken & -taken).bit_length()}) is already occupied")
         self._check_bounds(row, min(start + size - 1, self.cols + 1))
-        self._add(row, run)
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats (used when replaying recorded placements)."""
@@ -307,7 +309,7 @@ class Auditorium:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
             staged[row] = staged.get(row, 0) | bit
         for row, bits in staged.items():
-            self._add(row, bits)
+            self._add(row, bits, sum(_seat_numbers(bits)))
 
     def _run_starts(self, blocked: int, size: int) -> int:
         # The seats that start ``size`` seats clear of ``blocked``.
@@ -324,25 +326,6 @@ class Auditorium:
 
     def _free(self, size: int) -> PlacementSet:
         return PlacementSet(size, self._run_starts(self._board, size), self._width)
-
-    def _clearances(self, size: int) -> Iterator[PlacementSet]:
-        """Feasible placements clear of the occupants grown by 0, 1, 2, ...
-        steps: the d-th set is those farther than d from every occupant.
-        Endless; each set costs one growth step, so take only those needed.
-        """
-        grown = self._board
-        while True:
-            yield PlacementSet(size, self._run_starts(grown, size), self._width)
-            grown = self._grow(grown)
-
-    def _farthest(self, size: int) -> PlacementSet:
-        """The feasible placements farthest from every occupant; all of them
-        with nobody seated."""
-        clear = self._clearances(size)
-        farthest = next(clear)
-        for beyond in itertools.takewhile(bool, clear) if self._count else ():
-            farthest = beyond
-        return farthest
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.
@@ -373,14 +356,16 @@ class Auditorium:
 
     def placements_with_distances(self, size: int) -> tuple[tuple[Placement, float], ...]:
         """Feasible placements paired with their nearest-occupied distance."""
+        near = self._run_starts(self._board, size)
         if not self._count:
-            return tuple((pl, math.inf) for pl in self._free(size))
-        pairs = []
-        clear = itertools.pairwise(self._clearances(size))
-        for distance, (near, far) in enumerate(clear, start=1):
-            if not near:
-                break
-            pairs.extend((pl, distance) for pl in near - far)
+            return tuple((pl, math.inf) for pl in PlacementSet(size, near, self._width))
+        # Free but not clear of the occupants grown d steps: distance d.
+        pairs, grown, distance = [], self._board, 1
+        while near:
+            grown = self._grow(grown)
+            far = self._run_starts(grown, size)
+            pairs.extend((pl, distance) for pl in PlacementSet(size, near & ~far, self._width))
+            near, distance = far, distance + 1
         return tuple(sorted(pairs))
 
     def center_of_mass(self) -> SeatCoord | None:

@@ -6,11 +6,16 @@ rng) to one feasible placement; groups are greedy and never move again.
 Randomness is consumed only to choose uniformly among equally good
 placements, as ``options[rng.randrange(len(options))]`` over the
 deterministic row-major candidate order, so a fixed seed fixes the choice.
+
+Each rule is a filter over plain ints on the hall's bitboard: the
+occupants grown d steps (``Auditorium._grow``) block every seat within d
+of someone seated, and ``Auditorium._run_starts`` of that gives the
+placements farther than d from every occupant. A rule scans only the
+distances it reads; the bare free set (d = 0) only on its fallback.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable
 
@@ -29,20 +34,18 @@ class NoFeasiblePlacement(Exception):
         self.run = run
 
 
-def _or_raise(found: PlacementSet, size: int) -> PlacementSet:
-    if not found:
+def _pick(aud: Auditorium, size: int, rng: RandomSource, preferred: int = 0) -> Placement:
+    """Draw among the placements starting at the set bits of ``preferred``,
+    or among every feasible placement when there are none."""
+    starts = preferred or aud._run_starts(aud._board, size)
+    if not starts:
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
-    return found
-
-
-def _clear_of(aud: Auditorium, size: int, steps: int) -> list[PlacementSet]:
-    """Feasible placements farther than 0, 1, ..., ``steps`` from every occupant."""
-    return list(itertools.islice(aud._clearances(size), steps + 1))
+    return PlacementSet(size, starts, aud._width).pick(rng)
 
 
 def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     """Uniform choice over every feasible placement."""
-    return _or_raise(aud._free(size), size).pick(rng)
+    return _pick(aud, size, rng)
 
 
 def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -51,7 +54,14 @@ def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     The distance of a placement is the smallest distance over its member
     seats. In an empty auditorium every placement ties at infinity.
     """
-    return _or_raise(aud._farthest(size), size).pick(rng)
+    # Grow the occupants until no placement is clear of them; the last
+    # non-empty set is the farthest. With nobody seated nothing grows.
+    farthest = 0
+    if aud._count:
+        grown = aud._grow(aud._board)
+        while beyond := aud._run_starts(grown, size):
+            farthest, grown = beyond, aud._grow(grown)
+    return _pick(aud, size, rng, farthest)
 
 
 def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -66,8 +76,10 @@ def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     # closer and keeps it free, so with anyone seated every distance from
     # 1 up to the largest is taken. Nothing in the band then means nothing
     # above it either, and the band-less cases all pick among every spot.
-    free, beyond1, _, _, beyond4 = _clear_of(aud, size, 4)
-    return _or_raise((beyond1 - beyond4) or free, size).pick(rng)
+    near = aud._grow(aud._board)
+    beyond1 = aud._run_starts(near, size)
+    beyond4 = aud._run_starts(aud._grow(aud._grow(aud._grow(near))), size)
+    return _pick(aud, size, rng, beyond1 & ~beyond4)
 
 
 def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -76,8 +88,8 @@ def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     Falls back to a uniform choice over all feasible placements when no
     spot keeps that much room.
     """
-    free, _, roomy = _clear_of(aud, size, 2)
-    return _or_raise(roomy or free, size).pick(rng)
+    roomy = aud._run_starts(aud._grow(aud._grow(aud._board)), size)
+    return _pick(aud, size, rng, roomy)
 
 
 def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -93,13 +105,10 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     are ranked by a ball grown around the center, without listing them
     (:meth:`PlacementSet.closest_to`).
     """
-    free, candidates = _clear_of(aud, size, 1)
-    if not candidates:
-        return _or_raise(free, size).pick(rng)
-    center = aud.center_of_mass()
-    if center is None:
-        return candidates.pick(rng)
-    return candidates.closest_to(center).pick(rng)
+    candidates = aud._run_starts(aud._grow(aud._board), size)
+    if candidates and (center := aud.center_of_mass()) is not None:
+        return PlacementSet(size, candidates, aud._width).closest_to(center).pick(rng)
+    return _pick(aud, size, rng, candidates)
 
 
 POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {

@@ -38,7 +38,7 @@ import re
 from typing import Iterable, Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, SeatCoord, mask_from_text
+from .grid import Auditorium, SeatCoord, _seat_numbers, mask_from_text
 from .simulation import MeanTrajectory, Scenario
 
 
@@ -132,8 +132,9 @@ def _parse_coord(token: str, line: int, column: int) -> SeatCoord:
     )
 
 
-def _read_grid(lines: Iterable[tuple[int, str]], cols: int) -> Auditorium:
-    """The auditorium drawn by numbered grid lines of ``cols`` characters."""
+def _read_grid(lines: Iterable[tuple[int, str]], cols: int) -> list[int]:
+    """Occupancy masks of numbered grid lines of ``cols`` characters, one
+    per row; bit ``s-1`` is seat ``s``."""
     masks = []
     for r, (line, text) in enumerate(lines, start=1):
         if len(text) != cols:
@@ -148,7 +149,7 @@ def _read_grid(lines: Iterable[tuple[int, str]], cols: int) -> Auditorium:
                 f"bad grid character {bad.group()!r}, expected '.' or '#'",
             )
         masks.append(mask_from_text(text))
-    return Auditorium._from_masks(cols, masks)
+    return masks
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -164,7 +165,7 @@ def parse_scenario(text: str) -> Scenario:
     if rows < 1 or cols < 1:  # checked before the grid is read
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
     _keyword(cur.take("'grid'"), "grid")
-    grid = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
+    masks = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
 
     _keyword(cur.take("'arrivals'"), "arrivals")
     arrivals: list[int] = []
@@ -207,7 +208,9 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario(
         rows=rows,
         cols=cols,
-        initial_occupancy=tuple(grid.occupied_seats()),
+        initial_occupancy=tuple(
+            SeatCoord(r, s) for r, mask in enumerate(masks, start=1) for s in _seat_numbers(mask)
+        ),
         arrivals=tuple(arrivals),
         observed=tuple(observed) if observed is not None else None,
     )
@@ -289,7 +292,8 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     _keyword(lines[1], "grid")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
-    configuration = _read_grid(grid_lines, len(grid_lines[0][1]))
+    cols = len(grid_lines[0][1])
+    configuration = Auditorium._from_masks(cols, _read_grid(grid_lines, cols))
 
     parts = chosen_text.split()
     if len(parts) != 2 or parts[0] != "chosen":

@@ -11,6 +11,7 @@ from seatsim import (
     Placement,
     SeatConflict,
     SeatCoord,
+    entropy,
     manhattan_distance,
 )
 from seatsim.grid import PlacementSet
@@ -403,25 +404,38 @@ class TestOccupy:
         assert aud.occupied_count == 0
 
     def test_same_outcome_as_occupying_each_seat(self):
-        # occupy sets the run in one step; it must fail exactly where
-        # occupying the seats one by one, left to right, fails first.
+        # occupy sets the run in one step, its seat sum in closed form; it
+        # must fail exactly where occupying the seats one by one, left to
+        # right, fails first, and otherwise leave the same hall.
         def outcome(aud, act):
             try:
                 act()
             except (SeatConflict, ValueError) as exc:
                 return type(exc), str(exc), aud.to_rows()
-            return None, "", aud.to_rows()
+            state = aud.occupied_count, aud.center_of_mass(), entropy(aud)
+            return None, "", aud.to_rows(), state
 
         rng = random.Random(90)
         for _ in range(300):
             aud = random_auditorium(rng, max_density=0.5)
             pl = Placement(
-                rng.randint(0, aud.rows + 1), rng.randint(-1, aud.cols + 1), rng.randint(-1, 5)
+                rng.randint(0, aud.rows + 1), rng.randint(-1, aud.cols + 1), rng.randint(1, 5)
             )
             whole, seatwise = aud.copy(), aud.copy()
             assert outcome(whole, lambda: whole.occupy(pl)) == outcome(
                 seatwise, lambda: seatwise.occupy_seats(pl.seats())
             )
+
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("row", [1, 9])
+    def test_nonpositive_size_is_rejected(self, size, row):
+        # A run of no seats is refused, even in a row off the hall.
+        aud = Auditorium(2, 3, [(1, 2)])
+        before = aud.copy()
+        with pytest.raises(ValueError, match=f"group size must be positive, got {size}"):
+            aud.occupy(Placement(row, 1, size))
+        assert aud == before
+        assert (aud.occupied_count, entropy(aud)) == (before.occupied_count, entropy(before))
 
     def test_out_of_bounds_rejected(self):
         aud = Auditorium(2, 2)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from seatsim import (
 from seatsim.grid import PlacementSet
 from support import (
     coverage_draws,
+    feasible_placements_bf,
+    min_distance_bf,
     mirror_placement,
     mirrored,
     policy_candidates_bf,
@@ -269,7 +272,8 @@ class TestTieBreakOrder:
 
 class TestGrowthSteps:
     """Every rule but ``max`` grows the occupants a fixed number of steps,
-    so its cost does not depend on how far apart people sit."""
+    so its cost does not depend on how far apart people sit, and scans
+    run starts only at the distances it reads."""
 
     @pytest.mark.parametrize(
         "policy, steps", [("random", 0), ("space", 4), ("simple", 2), ("center", 1)]
@@ -291,6 +295,37 @@ class TestGrowthSteps:
             calls.clear()
             select_placement(policy, aud, 1, rng)
             assert len(calls) == steps
+
+    @pytest.mark.parametrize(
+        "policy, low, high, scans",
+        [("random", 0, math.inf, 1), ("center", 2, math.inf, 1),
+         ("simple", 3, math.inf, 1), ("space", 2, 4, 2)],
+    )
+    def test_run_start_scans(self, policy, low, high, scans, monkeypatch):
+        # A rule scans only the distances it reads; the bare free set costs
+        # one more scan, and only when nothing lies in [low, high].
+        calls = []
+        run_starts = Auditorium._run_starts
+
+        def counted(aud, blocked, size):
+            calls.append(blocked)
+            return run_starts(aud, blocked, size)
+
+        monkeypatch.setattr(Auditorium, "_run_starts", counted)
+        rng = random.Random(80_010 + POLICY_NAMES.index(policy))
+        branches = set()
+        for _ in range(150):
+            aud = random_auditorium(rng, max_density=0.9)
+            size = rng.randint(1, 3)
+            distances = [min_distance_bf(aud, pl) for pl in feasible_placements_bf(aud, size)]
+            if not distances:
+                continue
+            fallback = not any(low <= d <= high for d in distances)
+            calls.clear()
+            select_placement(policy, aud, size, rng)
+            assert len(calls) == scans + fallback
+            branches.add(fallback)
+        assert branches == ({False} if policy == "random" else {False, True})
 
     def test_center_ranks_without_listing_candidates(self, monkeypatch):
         ranked = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seatsim import (
+    Auditorium,
     LengthMismatch,
     MeanTrajectory,
     ParseError,
@@ -78,6 +79,18 @@ class TestParseScenario:
             (SeatCoord(2, 1), SeatCoord(2, 2)),
             (SeatCoord(1, 3),),
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 14).flatmap(
+            lambda cols: st.lists(st.text(".#", min_size=cols, max_size=cols), min_size=1, max_size=7)
+        )
+    )
+    def test_initial_occupancy_is_the_grid_s_seats(self, grid):
+        # The seats are read straight from the grid's masks, not from a hall.
+        text = f"rows {len(grid)}\ncols {len(grid[0])}\ngrid\n" + "\n".join(grid) + "\narrivals\n"
+        seats = list(parse_scenario(text).initial_occupancy)
+        assert seats == Auditorium.from_rows(grid).occupied_seats()
 
     def test_duplicate_observed_seat(self):
         text = (
