@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     simulate.add_argument(
         "--workers", type=int, default=1,
-        help="accepted (N >= 1) but unused: runs execute in-process, in index order",
+        help="processes to share the runs (N >= 1; capped at the usable CPUs); "
+        "the output is the same for any N",
     )
 
     replay = sub.add_parser("replay", help="print the recorded real trajectory as CSV")

@@ -10,8 +10,10 @@ origin. Averaged curves come from many independently seeded runs.
 from __future__ import annotations
 
 import math
+import os
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 from .entropy import entropy
 from .grid import Auditorium, SeatCoord
@@ -60,6 +62,8 @@ class Scenario:
     initial_occupancy: tuple[SeatCoord, ...]
     arrivals: tuple[int, ...]
     observed: tuple[tuple[SeatCoord, ...], ...] | None = None
+    # (rows, cols, initial_occupancy) and the hall built from them.
+    _hall: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.initial_occupancy = tuple(
@@ -72,7 +76,11 @@ class Scenario:
             )
 
     def initial_auditorium(self) -> Auditorium:
-        return Auditorium(self.rows, self.cols, self.initial_occupancy)
+        """A fresh copy of the hall before step 1, built once per layout."""
+        key = (self.rows, self.cols, self.initial_occupancy)
+        if self._hall is None or self._hall[0] != key:
+            self._hall = (key, Auditorium(*key))
+        return self._hall[1].copy()
 
 
 @dataclass
@@ -108,6 +116,94 @@ def run_once(scenario: Scenario, policy: str, seed: int) -> Trajectory:
     return trajectory
 
 
+def _run_range(
+    scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int
+) -> list[Trajectory]:
+    """Trajectories of runs ``lo .. hi-1``; a failure names its run."""
+    trajectories = []
+    for run in range(lo, hi):
+        try:
+            trajectories.append(run_once(scenario, policy, derive_seed(master_seed, run)))
+        except NoFeasiblePlacement as exc:
+            raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
+    return trajectories
+
+
+def _can_fork() -> bool:
+    """``fork`` copies only the calling thread, so a lock another thread
+    holds would stay locked in the child; such a process runs serially."""
+    threading = sys.modules.get("threading")
+    return hasattr(os, "fork") and not (threading and threading.active_count() > 1)
+
+
+def _cpus() -> list[int]:
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _pin(pid: int, cpus) -> None:
+    """Keep process ``pid`` (0: this one) on ``cpus`` where the OS allows;
+    pinning only places the work, so a refusal is ignored."""
+    try:
+        os.sched_setaffinity(pid, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
+def _fork_range(
+    scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int, cpu: int
+) -> tuple[int, int]:
+    """Run ``_run_range`` in a child forked onto ``cpu``; returns the pid and
+    the read end of a pipe that gets the pickled ``(True, trajectories)``
+    or ``(False, exception)``."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                reply = (True, _run_range(scenario, policy, master_seed, lo, hi))
+            except Exception as exc:
+                reply = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)  # never unwind into the caller's stack
+    # Moved before it first runs, the child starts on ``cpu`` at once
+    # instead of queueing behind this process.
+    _pin(pid, {cpu})
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(shard: int, pid: int, read_fd: int) -> tuple[bool, object]:
+    """Read a child's reply to the end, then wait for the child. What the
+    child did is returned, never raised."""
+    import pickle
+
+    with open(read_fd, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        return False, RuntimeError(
+            f"shard {shard}: worker process {pid} ended without a result "
+            f"(wait status {status})"
+        )
+
+
 def run_many(
     scenario: Scenario,
     policy: str,
@@ -117,20 +213,38 @@ def run_many(
 ) -> MeanTrajectory:
     """Aggregate ``runs`` independent runs seeded from ``master_seed``.
 
-    Run i uses ``derive_seed(master_seed, i)``. Runs execute in-process, in
-    index order; ``workers`` (at least 1) is accepted but selects nothing,
-    so the result is the same for every worker count.
+    Run i uses ``derive_seed(master_seed, i)``. The run indexes are cut
+    into ``min(workers, runs, usable CPUs)`` contiguous shards (one where
+    ``os.fork`` is missing or other threads run). This process runs the
+    first shard; a forked child runs each other one and returns its
+    trajectories over a pipe, and every child is reaped before this
+    returns. Shards are joined in index order and a failure reports the
+    lowest failing run, so the result is the same for every worker count.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
-    trajectories = []
-    for run in range(runs):
-        try:
-            trajectories.append(run_once(scenario, policy, derive_seed(master_seed, run)))
-        except NoFeasiblePlacement as exc:
-            raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
+    cpus = _cpus()
+    n = min(workers, runs, len(cpus)) if _can_fork() else 1
+    cuts = [runs * i // n for i in range(n + 1)]
+    # The scheduler need not move a forked child off its parent's CPU, so
+    # child i is pinned to cpus[-i] and this process keeps the others.
+    _pin(0, cpus[: len(cpus) - n + 1])
+    children = []
+    try:
+        for shard in range(1, n):
+            lo, hi = cuts[shard], cuts[shard + 1]
+            pid, read_fd = _fork_range(scenario, policy, master_seed, lo, hi, cpus[-shard])
+            children.append((shard, pid, read_fd))
+        trajectories = _run_range(scenario, policy, master_seed, cuts[0], cuts[1])
+    finally:
+        _pin(0, cpus)
+        replies = [_reap(*child) for child in children]
+    for ok, value in replies:
+        if not ok:
+            raise value
+        trajectories += value
     mean, std, low, high = [], [], [], []
     for column in zip(*trajectories):
         m = sum(column) / runs

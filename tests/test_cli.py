@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from seatsim import simulation
 from seatsim.cli import main
 
 SCENARIO = (
@@ -126,6 +129,18 @@ class TestSimulateCommand:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes() == out_c.read_bytes()
 
+    def test_fig1_csv_digest_is_the_same_for_one_and_two_workers(self, capsys, fig1_path):
+        digests = set()
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys,
+                "simulate", "--scenario", str(fig1_path), "--policy", "all",
+                "--runs", "200", "--seed", "0", "--workers", workers,
+            )
+            assert code == 0
+            digests.add(hashlib.sha256(out.encode()).hexdigest())
+        assert len(digests) == 1
+
     def test_stdout_matches_out_file(self, capsys, scenario_file, tmp_path):
         out_path = tmp_path / "t.csv"
         code, _, _ = run_cli(
@@ -184,6 +199,23 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "NoFeasiblePlacement" in err
+
+
+    def test_failure_in_a_worker_fails_cleanly(self, capsys, tmp_path, monkeypatch):
+        # 1x3 hall, groups 1 then 2: a run fails when the first person sits
+        # in the middle. Master seed 5 first fails at run 4 of 6, which the
+        # second of two shards runs.
+        monkeypatch.setattr(simulation, "_cpus", lambda: [0, 1])
+        path = tmp_path / "tight.scenario"
+        path.write_text("rows 1\ncols 3\ngrid\n...\narrivals\n1 2\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--policy", "random",
+            "--runs", "6", "--seed", "5", "--workers", "2",
+        )
+        assert code == 1
+        assert out == ""
+        assert "NoFeasiblePlacement: run 4: " in err
+        assert "Traceback" not in err
 
 
 class TestAnalyzeCommand:

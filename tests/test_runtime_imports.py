@@ -37,3 +37,13 @@ def test_import_loads_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"seatsim"}
     ]
     assert foreign == []
+    # the sharded run_many imports pickle only when it forks
+    assert not {"pickle", "multiprocessing", "concurrent.futures", "threading"} & set(loaded)
+
+
+def test_no_process_pool_or_thread_module_in_the_package():
+    for path in (REPO_ROOT / "src" / "seatsim").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for module in ("multiprocessing", "concurrent.futures", "threading"):
+            assert f"import {module}" not in text, (path.name, module)
+            assert f"from {module}" not in text, (path.name, module)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import signal
 import threading
 
 import pytest
 
+from seatsim import simulation
 from seatsim import (
     MissingObservedData,
     NoFeasiblePlacement,
@@ -149,6 +152,200 @@ class TestRunMany:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             run_many(small_scenario(), "random", 0, 0)
+
+
+# A 1x3 hall where the second group (2 seats) fails whenever the first
+# person took the middle seat; with 6 runs and 2 shards, runs 3-5 are shard 1.
+TIGHT = Scenario(rows=1, cols=3, initial_occupancy=(), arrivals=(1, 2))
+TIGHT_RUNS = 6
+
+
+def _failing_runs(master_seed: int) -> list[int]:
+    failing = []
+    for run in range(TIGHT_RUNS):
+        try:
+            run_once(TIGHT, "random", derive_seed(master_seed, run))
+        except NoFeasiblePlacement:
+            failing.append(run)
+    return failing
+
+
+def _tight_seed(first_failure_in_shard_0: bool) -> int:
+    """A master seed whose runs fail in shard 1, and in shard 0 as asked."""
+    half = TIGHT_RUNS // 2
+    for seed in range(1000):
+        failing = _failing_runs(seed)
+        if failing and failing[-1] >= half and (failing[0] < half) == first_failure_in_shard_0:
+            return seed
+    raise AssertionError("no such seed")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to the parent while the test runs."""
+    forked = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+@pytest.fixture
+def two_shards(monkeypatch, forks):
+    """Two usable CPUs whatever the host has, so workers=2 forks one child."""
+    monkeypatch.setattr(simulation, "_cpus", lambda: [0, 1])
+    return forks
+
+
+class TestShards:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, instead of hanging, if a wait on a child never returns."""
+
+        def expire(signum, frame):
+            raise TimeoutError("run_many did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_worker_count_does_not_change_the_aggregate(self, fig1_scenario, policy):
+        serial = run_many(fig1_scenario, policy, 50, 3, workers=1)
+        for workers in (2, 3):
+            assert run_many(fig1_scenario, policy, 50, 3, workers=workers) == serial
+        assert_no_child_left()
+
+    def test_forks_one_child_per_extra_shard(self, two_shards):
+        sc = small_scenario()
+        serial = run_many(sc, "max", 9, 4, workers=1)
+        assert two_shards == []
+        assert run_many(sc, "max", 9, 4, workers=2) == serial
+        assert len(two_shards) == 1
+        assert_no_child_left()
+
+    def test_shard_count_is_bounded_by_cpus_and_runs(self, forks):
+        sc = small_scenario()
+        serial = run_many(sc, "simple", 3, 1, workers=1)
+        assert run_many(sc, "simple", 3, 1, workers=64) == serial
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert len(forks) <= min(cpus - 1, 3 - 1)
+        assert_no_child_left()
+
+    def test_no_fork_means_one_shard(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        sc = small_scenario()
+        assert run_many(sc, "center", 8, 2, workers=4) == run_many(sc, "center", 8, 2)
+
+    def test_other_threads_mean_no_fork(self, two_shards):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            sc = small_scenario()
+            assert run_many(sc, "max", 9, 4, workers=2) == run_many(sc, "max", 9, 4)
+        finally:
+            release.set()
+            waiter.join(30)
+        assert not waiter.is_alive()
+        assert two_shards == []
+
+    def test_failure_in_a_child_matches_the_serial_failure(self, two_shards):
+        seed = _tight_seed(first_failure_in_shard_0=False)
+        with pytest.raises(NoFeasiblePlacement) as serial:
+            run_many(TIGHT, "random", TIGHT_RUNS, seed, workers=1)
+        with pytest.raises(NoFeasiblePlacement) as sharded:
+            run_many(TIGHT, "random", TIGHT_RUNS, seed, workers=2)
+        assert len(two_shards) == 1
+        assert str(sharded.value) == str(serial.value)
+        assert (sharded.value.run, sharded.value.step) == (serial.value.run, serial.value.step)
+        assert serial.value.run >= TIGHT_RUNS // 2
+        assert_no_child_left()
+
+    def test_lowest_failing_run_wins(self, two_shards):
+        seed = _tight_seed(first_failure_in_shard_0=True)
+        with pytest.raises(NoFeasiblePlacement) as sharded:
+            run_many(TIGHT, "random", TIGHT_RUNS, seed, workers=2)
+        assert len(two_shards) == 1
+        assert sharded.value.run == _failing_runs(seed)[0] < TIGHT_RUNS // 2
+        assert_no_child_left()
+
+    def test_other_errors_cross_the_pipe_with_their_type(self, two_shards, monkeypatch):
+        parent = os.getpid()
+        real_select = simulation.select_placement
+
+        def select_in_parent_only(policy, aud, size, rng):
+            if os.getpid() != parent:
+                raise ValueError("raised in the child's shard")
+            return real_select(policy, aud, size, rng)
+
+        monkeypatch.setattr(simulation, "select_placement", select_in_parent_only)
+        with pytest.raises(ValueError, match="raised in the child's shard"):
+            run_many(small_scenario(), "space", 10, 0, workers=2)
+        assert len(two_shards) == 1
+        assert_no_child_left()
+
+    def test_child_dying_without_a_reply_is_a_clean_error(self, two_shards, monkeypatch):
+        parent = os.getpid()
+        real_range = simulation._run_range
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_range(*args)
+
+        monkeypatch.setattr(simulation, "_run_range", die_in_child)
+        with pytest.raises(RuntimeError, match="shard 1") as exc_info:
+            run_many(small_scenario(), "random", 10, 0, workers=2)
+        assert "without a result" in str(exc_info.value)
+        assert_no_child_left()
+
+
+class TestInitialHall:
+    def test_returned_halls_are_independent(self):
+        sc = small_scenario()
+        first = sc.initial_auditorium()
+        first.occupy_seats([(5, 9)])
+        second = sc.initial_auditorium()
+        assert occupied_cells(second) == list(sc.initial_occupancy)
+        assert second is not first and second != first
+
+    def test_reassigned_layout_rebuilds_the_hall(self):
+        sc = small_scenario()
+        assert occupied_cells(sc.initial_auditorium()) == list(sc.initial_occupancy)
+        sc.initial_occupancy = (SeatCoord(2, 2),)
+        assert occupied_cells(sc.initial_auditorium()) == [SeatCoord(2, 2)]
+        sc.rows, sc.cols = 3, 4
+        hall = sc.initial_auditorium()
+        assert (hall.rows, hall.cols) == (3, 4)
+        assert occupied_cells(hall) == [SeatCoord(2, 2)]
+
+    def test_bad_seat_raises_on_every_call(self):
+        sc = Scenario(rows=2, cols=2, initial_occupancy=((3, 1),), arrivals=())
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sc.initial_auditorium()
+
+    def test_built_hall_is_not_part_of_equality_or_repr(self):
+        a, b = small_scenario(), small_scenario()
+        text = repr(a)
+        a.initial_auditorium()
+        assert a == b
+        assert repr(a) == repr(b) == text
+        assert "_hall" not in text
 
 
 class TestBruteForceReferee:
