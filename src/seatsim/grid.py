@@ -15,6 +15,10 @@ g>>1 | g<<W | g>>W``, masked to the seats, ``Auditorium._grow``) d times
 blocks every seat within d of someone seated, so the run starts clear of
 that (``Auditorium._run_starts``) are the placements farther than d from
 every occupant. The rules filter these ints and wrap only their final set.
+
+A grid block's text is the board (:func:`board_from_text`): its rows of
+``.``/``#`` joined by LF, reversed and read in binary with ``.``, ``#`` and LF
+as 0, 1 and 0, put each LF on the guard bit of the row before it.
 """
 
 from __future__ import annotations
@@ -89,13 +93,21 @@ def _flips(mask: int, cols: int) -> int:
     return ((mask ^ mask >> 1) & ((1 << cols - 1) - 1)).bit_count()
 
 
-_GRID_BITS = str.maketrans(".#", "01")
+def _bit_slice(k: int, cols: int) -> int:
+    """Row mask of the seats of ``1..cols`` whose number has bit ``k`` set:
+    runs of ``2**k`` seats every ``2**(k+1)``, the first at seat ``2**k``."""
+    run, period = 1 << k, 2 << k
+    runs = ((1 << run) - 1) * ((1 << period * (cols // period + 1)) - 1) // ((1 << period) - 1)
+    return runs << run - 1 & (1 << cols) - 1
+
+
 _GRID_CHARS = str.maketrans("01", ".#")
 
 
-def mask_from_text(text: str) -> int:
-    """Bitmask of a row of ``.``/``#`` text; other characters are not checked."""
-    return int(text[::-1].translate(_GRID_BITS) or "0", 2)
+def board_from_text(block: str) -> int:
+    """The board of grid rows of ``.``/``#`` joined by LF, all of one
+    length; other characters are not checked."""
+    return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
 
 
 class PlacementSet:
@@ -184,22 +196,20 @@ class Auditorium:
         self.occupy_seats(occupied)
 
     @classmethod
-    def _from_masks(cls, cols: int, masks: list[int]) -> Auditorium:
-        # The parsers build a hall per record: one pass over the rows, then
-        # the seat sum a column in use at a time, beats per-row ``_add`` calls.
-        aud = cls(len(masks), cols)
-        board = row_sum = score = used = 0
-        inner = (1 << cols - 1) - 1  # as in ``_flips``, without a call per row
-        for r, mask in enumerate(masks):
-            if mask:
-                board |= mask << r * aud._width
-                row_sum += (r + 1) * mask.bit_count()
-                score += ((mask ^ mask >> 1) & inner).bit_count() ** 2
-                used |= mask
+    def _from_board(cls, rows: int, cols: int, board: int) -> Auditorium:
+        # Shifted right by r = 0, 1, ... rows, the board keeps rows r+1 on, so row k
+        # is counted k times; the seat sum adds bit k of the seat numbers a slice at a time.
+        aud = cls(rows, cols)
+        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``_flips``
+        row_sum = seat_sum = score = 0
+        for shift in range(0, board.bit_length(), aud._width):  # empty rows add 0
+            row_sum += (board >> shift).bit_count()
+            score += (flips >> shift & inner).bit_count() ** 2
         rep = aud._valid // ((1 << cols) - 1)  # the first seat of each row
-        aud._seat_sum = sum(s * (board & rep << s - 1).bit_count() for s in _seat_numbers(used))
+        for k in range(cols.bit_length()):
+            seat_sum += (board & rep * _bit_slice(k, cols)).bit_count() << k
         aud._board, aud._count = board, board.bit_count()
-        aud._row_sum, aud._entropy = row_sum, score
+        aud._row_sum, aud._seat_sum, aud._entropy = row_sum, seat_sum, score
         return aud
 
     @classmethod
@@ -213,7 +223,7 @@ class Auditorium:
                 raise ValueError(f"row {r} has length {len(line)}, expected {cols}")
             if line.strip(".#"):
                 raise ValueError(f"bad grid character {line.strip('.#')[0]!r} in row {r}")
-        return cls._from_masks(cols, [mask_from_text(line) for line in lines])
+        return cls._from_board(len(lines), cols, board_from_text("\n".join(lines)))
 
     def to_rows(self) -> list[str]:
         """Inverse of :meth:`from_rows`."""

@@ -1,6 +1,7 @@
 """Text formats: scenario files, choice files, and trajectory CSV.
 
-All files are UTF-8 with LF line endings. Blank lines are ignored and
+All files are UTF-8. Lines end at LF only; a CR before the LF is trailing
+whitespace, and no other character ends a line. Blank lines are ignored and
 lines whose first non-space character is ``;`` are comments (``#`` marks
 an occupied seat, so it cannot introduce comments).
 
@@ -35,10 +36,11 @@ its integer entropy as mean with std 0 and min = max = mean.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, SeatCoord, _seat_numbers, mask_from_text
+from .grid import Auditorium, SeatCoord, _seat_numbers, board_from_text
 from .simulation import MeanTrajectory, Scenario
 
 
@@ -60,9 +62,6 @@ class LengthMismatch(Exception):
     """Trajectories with different step counts were emitted together."""
 
 
-_BAD_GRID_CHAR = re.compile(r"[^.#]")
-
-
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
     """(1-based number, right-stripped text) of each non-comment line.
 
@@ -70,8 +69,8 @@ def _numbered_lines(text: str) -> list[tuple[int, str]]:
     """
     return [
         (number, line.rstrip())
-        for number, line in enumerate(text.splitlines(), start=1)
-        if not line.lstrip().startswith(";")
+        for number, line in enumerate(text.split("\n"), start=1)
+        if ";" not in line or not line.lstrip().startswith(";")  # the cheap test first
     ]
 
 
@@ -79,21 +78,29 @@ class _Lines:
     """Cursor over effective (non-blank, non-comment) lines."""
 
     def __init__(self, text: str):
-        self._items = [item for item in _numbered_lines(text) if item[1]]
-        self._pos = 0
-        self.last_line = self._items[-1][0] if self._items else 1
+        self.items = [item for item in _numbered_lines(text) if item[1]]
+        self.pos = 0
 
     def peek(self) -> tuple[int, str] | None:
-        if self._pos < len(self._items):
-            return self._items[self._pos]
-        return None
+        return self.items[self.pos] if self.pos < len(self.items) else None
 
     def take(self, expected: str) -> tuple[int, str]:
         item = self.peek()
         if item is None:
-            raise ParseError(self.last_line, 1, f"unexpected end of file, expected {expected}")
-        self._pos += 1
+            last_line = self.items[-1][0] if self.items else 1
+            raise ParseError(last_line, 1, f"unexpected end of file, expected {expected}")
+        self.pos += 1
         return item
+
+
+def _tokens(text: str, start: int = 0) -> list[tuple[int, str]]:
+    """(1-based column, token) of each whitespace-separated token from ``start`` on."""
+    tokens = []
+    for token in text[start:].split():
+        start = text.index(token, start)
+        tokens.append((start + 1, token))
+        start += len(token)
+    return tokens
 
 
 def _parse_int(token: str, line: int, column: int, what: str) -> int:
@@ -106,13 +113,13 @@ def _parse_int(token: str, line: int, column: int, what: str) -> int:
 def _int_field(item: tuple[int, str], keyword: str) -> int:
     """The value of a numbered ``<keyword> <n>`` line."""
     line, text = item
-    parts = text.split()
-    if not parts or parts[0] != keyword:
+    tokens = _tokens(text)
+    if not tokens or tokens[0][1] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {text!r}")
-    if len(parts) != 2:
+    if len(tokens) != 2:
         raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
-    column = text.index(parts[1], text.index(keyword) + len(keyword)) + 1
-    return _parse_int(parts[1], line, column, keyword)
+    column, value = tokens[1]
+    return _parse_int(value, line, column, keyword)
 
 
 def _keyword(item: tuple[int, str], keyword: str) -> None:
@@ -132,24 +139,23 @@ def _parse_coord(token: str, line: int, column: int) -> SeatCoord:
     )
 
 
-def _read_grid(lines: Iterable[tuple[int, str]], cols: int) -> list[int]:
-    """Occupancy masks of numbered grid lines of ``cols`` characters, one
-    per row; bit ``s-1`` is seat ``s``."""
-    masks = []
-    for r, (line, text) in enumerate(lines, start=1):
-        if len(text) != cols:
-            raise ParseError(
-                line, min(len(text), cols) + 1,
-                f"grid row {r} has {len(text)} characters, expected {cols}",
-            )
-        bad = _BAD_GRID_CHAR.search(text)
-        if bad:
-            raise ParseError(
-                line, bad.start() + 1,
-                f"bad grid character {bad.group()!r}, expected '.' or '#'",
-            )
-        masks.append(mask_from_text(text))
-    return masks
+def _read_grid(lines: Sequence[tuple[int, str]], cols: int) -> int:
+    """The board (see :mod:`seatsim.grid`) of numbered rows of ``cols`` characters.
+    The first faulty row raises, on its length before its characters."""
+    block = "\n".join([text for _, text in lines])
+    full_rows = f"(?:[.#]{{{cols}}}\n)*"
+    good = 0  # rows before the first faulty one
+    if len(lines[0][1]) == cols:  # else row 1 is; a huge cols never reaches the patterns
+        if re.fullmatch(f"{full_rows}[.#]{{{cols}}}", block):
+            return board_from_text(block)
+        good = re.match(full_rows, block).end() // (cols + 1)
+    line, text = lines[good]
+    if len(text) != cols:
+        message = f"grid row {good + 1} has {len(text)} characters, expected {cols}"
+        raise ParseError(line, min(len(text), cols) + 1, message)
+    bad = re.search("[^.#]", text)
+    message = f"bad grid character {bad.group()!r}, expected '.' or '#'"
+    raise ParseError(line, bad.start() + 1, message)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -165,18 +171,18 @@ def parse_scenario(text: str) -> Scenario:
     if rows < 1 or cols < 1:  # checked before the grid is read
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
     _keyword(cur.take("'grid'"), "grid")
-    masks = _read_grid((cur.take(f"grid row {r}") for r in range(1, rows + 1)), cols)
+    grid = cur.items[cur.pos : cur.pos + rows]
+    cur.pos += len(grid)
+    board = _read_grid(grid, cols) if grid else 0
+    if len(grid) < rows:  # after the rows read, so that their faults win
+        cur.take(f"grid row {len(grid) + 1}")
 
     _keyword(cur.take("'arrivals'"), "arrivals")
     arrivals: list[int] = []
     item = cur.peek()
     if item is not None and item[1].strip() != "observed":
         line, text = cur.take("arrival sizes")
-        search_from = 0
-        for token in text.split():
-            column = text.index(token, search_from) + 1
-            search_from = column - 1 + len(token)
-            arrivals.append(_parse_int(token, line, column, "group size"))
+        arrivals = [_parse_int(t, line, c, "group size") for c, t in _tokens(text)]
 
     observed: list[list[SeatCoord]] | None = None
     item = cur.peek()
@@ -185,7 +191,7 @@ def parse_scenario(text: str) -> Scenario:
         observed = []
         while cur.peek() is not None:
             line, text = cur.take("observed step")
-            head, colon, rest = text.partition(":")
+            head, colon, _ = text.partition(":")
             if not colon:
                 raise ParseError(line, 1, "expected '<step>: row,seat ...'")
             step = _parse_int(head.strip(), line, 1, "step number")
@@ -193,24 +199,17 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"line {line}: observed step {step} out of order, expected {len(observed) + 1}"
                 )
-            seats = []
-            search_from = len(head) + 1
-            for token in rest.split():
-                column = text.index(token, search_from) + 1
-                search_from = column - 1 + len(token)
-                seats.append(_parse_coord(token, line, column))
-            observed.append(seats)
+            observed.append([_parse_coord(t, line, c) for c, t in _tokens(text, len(head) + 1)])
 
     item = cur.peek()
     if item is not None:
         raise ParseError(item[0], 1, f"unexpected line {item[1]!r}")
 
+    seats = tuple(SeatCoord(n // (cols + 1) + 1, n % (cols + 1)) for n in _seat_numbers(board))
     scenario = Scenario(
         rows=rows,
         cols=cols,
-        initial_occupancy=tuple(
-            SeatCoord(r, s) for r, mask in enumerate(masks, start=1) for s in _seat_numbers(mask)
-        ),
+        initial_occupancy=seats,
         arrivals=tuple(arrivals),
         observed=tuple(observed) if observed is not None else None,
     )
@@ -270,36 +269,26 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def parse_choices(text: str) -> list[ChoiceRecord]:
     """Parse the blank-line separated choices format into records."""
-    records = []
-    block: list[tuple[int, str]] = []
-    # A blank entry appended at the end closes the last record.
-    for item in [*_numbered_lines(text), (0, "")]:
-        if item[1]:
-            block.append(item)
-        elif block:
-            records.append(_parse_choice_block(block))
-            block = []
-    return records
+    blocks = groupby(_numbered_lines(text), key=lambda item: item[1] != "")
+    return [_parse_choice_block(list(block)) for filled, block in blocks if filled]
 
 
 def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     if len(lines) < 4:
-        raise ParseError(
-            lines[0][0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'"
-        )
+        raise ParseError(lines[0][0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'")
     group_count = _int_field(lines[0], "groups")
 
     _keyword(lines[1], "grid")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
     cols = len(grid_lines[0][1])
-    configuration = Auditorium._from_masks(cols, _read_grid(grid_lines, cols))
+    configuration = Auditorium._from_board(len(grid_lines), cols, _read_grid(grid_lines, cols))
 
-    parts = chosen_text.split()
-    if len(parts) != 2 or parts[0] != "chosen":
+    tokens = _tokens(chosen_text)
+    if len(tokens) != 2 or tokens[0][1] != "chosen":
         raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {chosen_text!r}")
-    column = chosen_text.index(parts[1], chosen_text.index("chosen") + len("chosen")) + 1
-    chosen = _parse_coord(parts[1], chosen_line, column)
+    column, value = tokens[1]
+    chosen = _parse_coord(value, chosen_line, column)
     try:
         return ChoiceRecord(configuration=configuration, chosen=chosen, group_count=group_count)
     except ValueError as exc:

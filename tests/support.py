@@ -191,6 +191,7 @@ MALFORMED_SCENARIOS: list[tuple[str, str, str]] = [
     ("grid row too short", "rows 1\ncols 3\ngrid\n..\narrivals\n", "ParseError"),
     ("grid row too long", "rows 1\ncols 3\ngrid\n....\narrivals\n", "ParseError"),
     ("bad grid character", "rows 1\ncols 3\ngrid\n.x.\narrivals\n", "ParseError"),
+    ("cols past any regex repeat count", "rows 1\ncols 9999999999\ngrid\n...\narrivals\n", "ParseError"),
     ("missing grid row", "rows 2\ncols 3\ngrid\n...\narrivals\n", "ParseError"),
     ("missing arrivals keyword", "rows 1\ncols 3\ngrid\n...\n", "ParseError"),
     ("arrival size not integer", "rows 1\ncols 3\ngrid\n...\narrivals\na\n", "ParseError"),

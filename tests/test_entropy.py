@@ -145,7 +145,7 @@ class TestKeptUpToDate:
         assert entropy(aud) == entropy_bf(aud)
         rebuilt = [
             Auditorium.from_rows(aud.to_rows()),
-            Auditorium._from_masks(cols, [aud.row_mask(r) for r in range(1, rows + 1)]),
+            Auditorium._from_board(rows, cols, aud._board),
             aud.copy(),
         ]
         for other in rebuilt:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seatsim import (
     Auditorium,
@@ -13,6 +13,7 @@ from seatsim import (
     SeatCoord,
     entropy,
     manhattan_distance,
+    parse_choices,
 )
 from seatsim.grid import PlacementSet
 from support import (
@@ -473,3 +474,39 @@ class TestConstruction:
     def test_equality_tracks_occupancy(self, aud):
         clone = Auditorium(aud.rows, aud.cols, occupied_cells(aud))
         assert clone == aud
+
+
+# Straddle the widths where the seat sum's bit slices gain a slice.
+_SLICE_EDGES = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
+
+
+class TestFromBoard:
+    """A hall built from its board in closed form equals the hall built
+    seat by seat, in every kept-up-to-date sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.sampled_from(_SLICE_EDGES),
+        cols=st.sampled_from(_SLICE_EDGES),
+        density=st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_seat_by_seat(self, rows, cols, density, rng):
+        cells = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)]
+        seats = [cell for cell in cells if rng.random() < density]
+        reference = Auditorium(rows, cols, seats)
+        text_rows = reference.to_rows()
+        board = sum(1 << (r - 1) * (cols + 1) + s - 1 for r, s in seats)
+        halls = [Auditorium._from_board(rows, cols, board), Auditorium.from_rows(text_rows)]
+        empty = sorted(set(cells) - set(seats))
+        if seats and empty:  # a choice record needs an occupant and a free seat
+            chosen = "%d,%d" % empty[0]
+            text = "groups 1\ngrid\n" + "\n".join(text_rows) + f"\nchosen {chosen}\n"
+            (record,) = parse_choices(text)
+            assert record.configuration == Auditorium.from_rows(text_rows)
+            halls.append(record.configuration)
+        for hall in halls:
+            assert hall == reference
+            assert hall.occupied_count == reference.occupied_count
+            assert hall.center_of_mass() == reference.center_of_mass()
+            assert entropy(hall) == entropy(reference)

@@ -398,3 +398,126 @@ class TestParserFuzz:
             parse_choices(text)
         except (ParseError, ValidationError):
             pass
+
+
+class TestGridFaultPrecedence:
+    """The first faulty grid row in line order decides the error; within
+    a row, a wrong length beats a bad character."""
+
+    @pytest.mark.parametrize("parser", [parse_scenario, parse_choices], ids=["scenario", "choices"])
+    @pytest.mark.parametrize(
+        "grid,row,column,message",
+        [
+            ([".x..", ".."], 1, 2, "bad grid character 'x', expected '.' or '#'"),
+            (["..", ".x.."], 1, 3, "grid row {} has 2 characters, expected 4"),
+            ([".x", "...."], 1, 3, "grid row {} has 2 characters, expected 4"),
+            (["....", "....."], 2, 5, "grid row {} has 5 characters, expected 4"),
+            (["....", "x....", ".x"], 2, 5, "grid row {} has 5 characters, expected 4"),
+            (["....", "...#", "#?.."], 3, 2, "bad grid character '?', expected '.' or '#'"),
+        ],
+        ids=["bad-then-short", "short-then-bad", "short-and-bad", "long", "long-and-bad", "third"],
+    )
+    def test_first_faulty_row_wins(self, parser, grid, row, column, message):
+        if parser is parse_scenario:
+            text = f"rows {len(grid)}\ncols 4\ngrid\n" + "\n".join(grid) + "\narrivals\n"
+            first_line, rows_before = 4, 0
+        else:
+            # A choices grid takes its width from its first row, so a full
+            # row of 4 seats goes first and shifts the row numbers by one.
+            text = "groups 1\ngrid\n....\n" + "\n".join(grid) + "\nchosen 1,1\n"
+            first_line, rows_before = 4, 1
+        with pytest.raises(ParseError) as exc_info:
+            parser(text)
+        err = exc_info.value
+        assert (err.line, err.column) == (first_line + row - 1, column)
+        assert err.message == message.format(rows_before + row)
+
+    @pytest.mark.parametrize(
+        "grid,line,column,message",
+        [
+            ([".x.."], 4, 2, "bad grid character 'x', expected '.' or '#'"),
+            (["....", "#.?."], 5, 3, "bad grid character '?', expected '.' or '#'"),
+            ([".."], 4, 3, "grid row 1 has 2 characters, expected 4"),
+            (["...."], 4, 1, "unexpected end of file, expected grid row 2"),
+        ],
+        ids=["bad-row-1", "bad-row-2", "short-row-1", "good-row-1"],
+    )
+    def test_fault_in_an_earlier_row_beats_end_of_file_in_the_grid(
+        self, grid, line, column, message
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario("rows 3\ncols 4\ngrid\n" + "\n".join(grid) + "\n")
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+
+
+# Every line boundary of ``str.splitlines`` other than LF and CRLF.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+class TestLineEndings:
+    """Lines end at LF only; a CR before the LF is trailing whitespace."""
+
+    @pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=repr)
+    @pytest.mark.parametrize(
+        "parser,text,line",
+        [
+            (parse_scenario, "rows 1\ncols 4\ngrid\n..{}.\narrivals\n", 4),
+            (parse_choices, "groups 1\ngrid\n..{}.\nchosen 1,1\n", 3),
+        ],
+        ids=["scenario", "choices"],
+    )
+    def test_separator_inside_a_grid_row_is_a_bad_character(self, parser, text, line, sep):
+        with pytest.raises(ParseError) as exc_info:
+            parser(text.format(sep))
+        err = exc_info.value
+        assert (err.line, err.column) == (line, 3)
+        assert err.message == f"bad grid character {sep!r}, expected '.' or '#'"
+
+    @pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=repr)
+    @pytest.mark.parametrize(
+        "parser,text,line,column,message",
+        [
+            (
+                parse_scenario, "; a{}b\nrows 1\ncols 3\ngrid\n.x.\narrivals\n", 5, 2,
+                "bad grid character 'x', expected '.' or '#'",
+            ),
+            (
+                parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1 {}2\nbogus\n", 7, 1,
+                "unexpected line 'bogus'",
+            ),
+            (
+                parse_choices, "; a{}b\ngroups 1\ngrid\n.x\nchosen 1,1\n", 4, 2,
+                "bad grid character 'x', expected '.' or '#'",
+            ),
+            (
+                parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n; a{}b\n\ngroups x\ngrid\n#.\nchosen 1,2\n", 7, 8,
+                "groups must be an integer, got 'x'",
+            ),
+        ],
+        ids=["scenario-comment", "scenario-arrivals", "choices-comment", "choices-later-record"],
+    )
+    def test_separator_does_not_shift_later_line_numbers(
+        self, parser, text, line, column, message, sep
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parser(text.format(sep))
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+
+    def test_crlf_scenario_parses_as_lf(self):
+        text = "rows 2\ncols 3\ngrid\n#..\n..#\narrivals\n1 1\nobserved\n1: 1,2\n2: 2,2\n"
+        assert parse_scenario(text.replace("\n", "\r\n")) == parse_scenario(text)
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario("rows 1\r\ncols 3\r\ngrid\r\n.x.\r\narrivals\r\n")
+        assert (exc_info.value.line, exc_info.value.column) == (4, 2)
+
+    def test_crlf_choices_parse_as_lf(self):
+        text = TestParseChoices.CHOICES
+        crlf = parse_choices(text.replace("\n", "\r\n"))
+        assert [(r.configuration, r.chosen, r.group_count) for r in crlf] == [
+            (r.configuration, r.chosen, r.group_count) for r in parse_choices(text)
+        ]
+        with pytest.raises(ParseError) as exc_info:
+            parse_choices("groups 1\r\ngrid\r\n..\r\n.x\r\nchosen 1,1\r\n")
+        assert (exc_info.value.line, exc_info.value.column) == (4, 2)
