@@ -6,15 +6,16 @@ horizontal run of seats in a single row (a :class:`Placement`).
 
 The whole hall is one int, a padded bitboard: with ``W = cols + 1``, seat
 ``s`` of row ``r`` is bit ``(r-1)*W + s-1``; bit ``(r-1)*W + cols`` is a
-guard, never a seat. Row-major order is ascending bit order. A set of
-same-size placements is one int the same way, a bit per start seat
-(:class:`PlacementSet`). Free runs of k seats start where ``f & f>>1 &
-... & f>>(k-1)`` is set, ``f`` being the free seats; no run crosses the
-guard. Growing the occupants one Manhattan step at a time (``g | g<<1 |
+guard, never a seat. Row-major order is ascending bit order, which
+:func:`board_cells` decodes. A set of same-size placements is one int the
+same way, a bit per start seat. Free runs of k seats start where ``f &
+f>>1 & ... & f>>(k-1)`` is set, ``f`` being the free seats; no run crosses
+the guard. Growing the occupants one Manhattan step at a time (``g | g<<1 |
 g>>1 | g<<W | g>>W``, masked to the seats, ``Auditorium._grow``) d times
 blocks every seat within d of someone seated, so the run starts clear of
 that (``Auditorium._run_starts``) are the placements farther than d from
-every occupant. The rules filter these ints and wrap only their final set.
+every occupant. The rules filter these ints and hand their final start
+int to the one shared draw, ``Auditorium._draw``.
 
 A grid block's text is the board (:func:`board_from_text`): its rows of
 ``.``/``#`` joined by LF, reversed and read in binary with ``.``, ``#`` and LF
@@ -69,12 +70,14 @@ def manhattan_distance(p: SeatCoord, q: SeatCoord) -> int:
     return abs(p[0] - q[0]) + abs(p[1] - q[1])
 
 
-def _seat_numbers(mask: int) -> Iterator[int]:
-    """1-based numbers of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
+def board_cells(bits: int, cols: int) -> Iterator[tuple[int, int]]:
+    """``(row, seat)`` of each set bit of a board ``cols`` seats wide, in
+    row-major order."""
+    width = cols + 1
+    while bits:
+        low = bits & -bits
+        yield divmod(low.bit_length() + width, width)  # bit_length() = (row-1)*width + seat
+        bits ^= low
 
 
 def _seat_bits(rows: int, width: int) -> int:
@@ -108,71 +111,6 @@ def board_from_text(block: str) -> int:
     """The board of grid rows of ``.``/``#`` joined by LF, all of one
     length; other characters are not checked."""
     return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
-
-
-class PlacementSet:
-    """Placements of one size, a bit per start seat on a padded board
-    ``width`` bits a row. Iterates in row-major order, so ``pick`` consumes
-    the rng exactly as ``options[rng.randrange(len(options))]`` would.
-    """
-
-    __slots__ = ("size", "bits", "width")
-
-    def __init__(self, size: int, bits: int, width: int):
-        self.size, self.bits, self.width = size, bits, width
-
-    @classmethod
-    def from_rows(cls, size: int, cols: int, starts: Sequence[int]) -> PlacementSet:
-        """From a mask of start seats per row; bit ``s-1`` is seat ``s``."""
-        width = cols + 1
-        return cls(size, sum(mask << r * width for r, mask in enumerate(starts)), width)
-
-    @property
-    def starts(self) -> list[int]:
-        """The mask of start seats of each row, up to the last non-empty one."""
-        full, rows = (1 << self.width - 1) - 1, -(-self.bits.bit_length() // self.width)
-        return [self.bits >> r * self.width & full for r in range(rows)]
-
-    def __iter__(self) -> Iterator[Placement]:
-        for n in _seat_numbers(self.bits):
-            row, seat = divmod(n - 1, self.width)
-            yield Placement(row + 1, seat + 1, self.size)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def closest_to(self, point: SeatCoord) -> PlacementSet:
-        """The placements at the smallest Manhattan distance from ``point``,
-        measured from their nearest member seat.
-
-        The starts whose run covers the point's seat are at distance 0, and
-        grown by d Manhattan steps they are the starts within d; so grow
-        them until they meet the set, and keep what they meet.
-        """
-        if not self.bits:
-            return self
-        row, seat = point
-        width = self.width
-        seats = _seat_bits(max(row, -(-self.bits.bit_length() // width)), width)
-        ball = ((1 << seat) - (1 << max(seat - self.size, 0))) << (row - 1) * width
-        while not ball & self.bits:
-            ball = _dilate(ball, width, seats)
-        return PlacementSet(self.size, ball & self.bits, width)
-
-    def pick(self, rng: random.Random) -> Placement:
-        """The n-th placement in row-major order, ``n = rng.randrange(len(self))``."""
-        bits, total = self.bits, len(self)
-        above = total - rng.randrange(total)  # set bits from the n-th one up
-        # Bisect for the highest bit with that many set bits from it up.
-        low, high = 0, bits.bit_length()
-        while high - low > 1:
-            mid = (low + high) // 2
-            if (bits >> mid).bit_count() >= above:
-                low = mid
-            else:
-                high = mid
-        row, seat = divmod(low, self.width)
-        return Placement(row + 1, seat + 1, self.size)
 
 
 class Auditorium:
@@ -265,18 +203,12 @@ class Auditorium:
 
     def occupied_seats(self) -> list[SeatCoord]:
         """All occupied seats in row-major order."""
-        rows = range(1, self.rows + 1)
-        return [SeatCoord(r, s) for r in rows for s in _seat_numbers(self._row(r))]
+        return [SeatCoord(r, s) for r, s in board_cells(self._board, self.cols)]
 
     def row_mask(self, row: int) -> int:
         """Occupancy bitmask of one row; bit ``s-1`` is seat ``s``."""
         self._check_bounds(row, 1)
         return self._row(row)
-
-    def row_occupancy(self, row: int) -> Sequence[bool]:
-        """Occupancy flags of one row, left to right."""
-        mask = self.row_mask(row)
-        return [bool(mask >> s & 1) for s in range(self.cols)]
 
     def _add(self, row: int, bits: int, seat_sum: int) -> None:
         # Occupy the empty seats ``bits`` of ``row``, whose numbers sum to
@@ -323,7 +255,7 @@ class Auditorium:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
             staged[row] = staged.get(row, 0) | bit
         for row, bits in staged.items():
-            self._add(row, bits, sum(_seat_numbers(bits)))
+            self._add(row, bits, sum(seat for _, seat in board_cells(bits, self.cols)))
 
     def _run_starts(self, blocked: int, size: int) -> int:
         # The seats that start ``size`` seats clear of ``blocked``.
@@ -338,8 +270,36 @@ class Auditorium:
         # One Manhattan step of dilation of the (grown) occupants.
         return _dilate(grown, self._width, self._valid)
 
-    def _free(self, size: int) -> PlacementSet:
-        return PlacementSet(size, self._run_starts(self._board, size), self._width)
+    def _draw(self, starts: int, size: int, rng: random.Random) -> Placement:
+        """The n-th placement of the start set ``starts`` in row-major order,
+        ``n = rng.randrange(popcount)``: the same draw as indexing the
+        listed placements. ``starts`` must be non-empty."""
+        total = starts.bit_count()
+        above = total - rng.randrange(total)  # set bits from the n-th one up
+        # Bisect for the highest bit with that many set bits from it up.
+        low, high = 0, starts.bit_length()
+        while high - low > 1:
+            mid = (low + high) // 2
+            if (starts >> mid).bit_count() >= above:
+                low = mid
+            else:
+                high = mid
+        row, seat = divmod(low, self._width)
+        return Placement(row + 1, seat + 1, size)
+
+    def _closest(self, starts: int, size: int, point: SeatCoord) -> int:
+        """The starts of ``starts`` whose ``size``-seat run is nearest to
+        ``point``, by Manhattan distance from the nearest member seat.
+
+        The starts whose run covers the point's seat are at distance 0, and
+        grown by d Manhattan steps they are the starts within d; so grow
+        them until they meet ``starts``, which must be non-empty.
+        """
+        row, seat = point
+        ball = ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
+        while not ball & starts:
+            ball = _dilate(ball, self._width, self._valid)
+        return ball & starts
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.
@@ -347,7 +307,8 @@ class Auditorium:
         Row-major order by (row, start_seat), so index-based random choice
         is reproducible. Empty tuple when the group cannot fit anywhere.
         """
-        return tuple(self._free(size))
+        starts = self._run_starts(self._board, size)
+        return tuple(Placement(r, s, size) for r, s in board_cells(starts, self.cols))
 
     def min_distance_to_seated(self, placement: Placement) -> float:
         """Smallest Manhattan distance from the placement to any occupant.
@@ -370,17 +331,7 @@ class Auditorium:
 
     def placements_with_distances(self, size: int) -> tuple[tuple[Placement, float], ...]:
         """Feasible placements paired with their nearest-occupied distance."""
-        near = self._run_starts(self._board, size)
-        if not self._count:
-            return tuple((pl, math.inf) for pl in PlacementSet(size, near, self._width))
-        # Free but not clear of the occupants grown d steps: distance d.
-        pairs, grown, distance = [], self._board, 1
-        while near:
-            grown = self._grow(grown)
-            far = self._run_starts(grown, size)
-            pairs.extend((pl, distance) for pl in PlacementSet(size, near & ~far, self._width))
-            near, distance = far, distance + 1
-        return tuple(sorted(pairs))
+        return tuple((pl, self.min_distance_to_seated(pl)) for pl in self.feasible_placements(size))
 
     def center_of_mass(self) -> SeatCoord | None:
         """Mean occupied row and seat, each rounded half-up; None if empty."""

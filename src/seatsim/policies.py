@@ -7,11 +7,12 @@ Randomness is consumed only to choose uniformly among equally good
 placements, as ``options[rng.randrange(len(options))]`` over the
 deterministic row-major candidate order, so a fixed seed fixes the choice.
 
-Each rule is a filter over plain ints on the hall's bitboard: the
-occupants grown d steps (``Auditorium._grow``) block every seat within d
-of someone seated, and ``Auditorium._run_starts`` of that gives the
-placements farther than d from every occupant. A rule scans only the
-distances it reads; the bare free set (d = 0) only on its fallback.
+Each rule is one start-set int over the hall's bitboard, handed to the
+one shared draw in ``_pick``: the occupants grown d steps
+(``Auditorium._grow``) block every seat within d of someone seated, and
+``Auditorium._run_starts`` of that gives the placements farther than d
+from every occupant. A rule scans only the distances it reads; ``_pick``
+scans the bare free set (d = 0) only when the rule's set is empty.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .grid import Auditorium, Placement, PlacementSet
+from .grid import Auditorium, Placement
 
 #: Deterministic pseudo-random stream; construct one per simulation run.
 RandomSource = random.Random
@@ -35,12 +36,12 @@ class NoFeasiblePlacement(Exception):
 
 
 def _pick(aud: Auditorium, size: int, rng: RandomSource, preferred: int = 0) -> Placement:
-    """Draw among the placements starting at the set bits of ``preferred``,
-    or among every feasible placement when there are none."""
+    """Draw (:meth:`Auditorium._draw`) among the placements starting at the set
+    bits of ``preferred``, or among every feasible placement when there are none."""
     starts = preferred or aud._run_starts(aud._board, size)
     if not starts:
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
-    return PlacementSet(size, starts, aud._width).pick(rng)
+    return aud._draw(starts, size, rng)
 
 
 def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -103,11 +104,11 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
 
     Finding the candidates takes one growth step of the occupants; they
     are ranked by a ball grown around the center, without listing them
-    (:meth:`PlacementSet.closest_to`).
+    (:meth:`Auditorium._closest`).
     """
     candidates = aud._run_starts(aud._grow(aud._board), size)
     if candidates and (center := aud.center_of_mass()) is not None:
-        return PlacementSet(size, candidates, aud._width).closest_to(center).pick(rng)
+        candidates = aud._closest(candidates, size, center)
     return _pick(aud, size, rng, candidates)
 
 

@@ -1,9 +1,12 @@
 """Text formats: scenario files, choice files, and trajectory CSV.
 
 All files are UTF-8. Lines end at LF only; a CR before the LF is trailing
-whitespace, and no other character ends a line. Blank lines are ignored and
-lines whose first non-space character is ``;`` are comments (``#`` marks
-an occupied seat, so it cannot introduce comments).
+whitespace, and no other character ends a line. Tokens are separated by
+spaces and tabs only; outside comments, any other whitespace character
+(form feed, ``\x1c``, no-break space, a CR inside a line, ...) is a
+:class:`ParseError` at its column. Blank lines are ignored and lines whose
+first character other than a space or tab is ``;`` are comments (``#``
+marks an occupied seat, so it cannot introduce comments).
 
 Scenario format::
 
@@ -40,7 +43,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, SeatCoord, _seat_numbers, board_from_text
+from .grid import Auditorium, SeatCoord, board_cells, board_from_text
 from .simulation import MeanTrajectory, Scenario
 
 
@@ -63,14 +66,14 @@ class LengthMismatch(Exception):
 
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based number, right-stripped text) of each non-comment line.
+    """(1-based number, text less trailing spaces, tabs and CR) of each non-comment line.
 
     Blank lines stay, as ``""``, because they separate choices records.
     """
     return [
-        (number, line.rstrip())
+        (number, line.rstrip(" \t\r"))
         for number, line in enumerate(text.split("\n"), start=1)
-        if ";" not in line or not line.lstrip().startswith(";")  # the cheap test first
+        if ";" not in line or not line.lstrip(" \t").startswith(";")  # the cheap test first
     ]
 
 
@@ -93,8 +96,16 @@ class _Lines:
         return item
 
 
-def _tokens(text: str, start: int = 0) -> list[tuple[int, str]]:
-    """(1-based column, token) of each whitespace-separated token from ``start`` on."""
+def _tokens(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
+    """(1-based column, token) of each token from ``start`` on.
+
+    Raises :class:`ParseError` at the first whitespace character in
+    ``text`` that is not a space or tab, even before ``start``.
+    """
+    # A line of printable characters has no whitespace but spaces (a tab is not printable).
+    if not text.isprintable() and (bad := re.search(r"[^\S \t]", text)):
+        message = f"unexpected whitespace {bad.group()!r}; tokens are separated by spaces and tabs"
+        raise ParseError(line, bad.start() + 1, message)
     tokens = []
     for token in text[start:].split():
         start = text.index(token, start)
@@ -113,7 +124,7 @@ def _parse_int(token: str, line: int, column: int, what: str) -> int:
 def _int_field(item: tuple[int, str], keyword: str) -> int:
     """The value of a numbered ``<keyword> <n>`` line."""
     line, text = item
-    tokens = _tokens(text)
+    tokens = _tokens(line, text)
     if not tokens or tokens[0][1] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {text!r}")
     if len(tokens) != 2:
@@ -125,7 +136,8 @@ def _int_field(item: tuple[int, str], keyword: str) -> int:
 def _keyword(item: tuple[int, str], keyword: str) -> None:
     """Check that a numbered line holds only ``keyword``."""
     line, text = item
-    if text.strip() != keyword:
+    if text.strip(" \t") != keyword:
+        _tokens(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"expected '{keyword}', got {text!r}")
 
 
@@ -180,18 +192,19 @@ def parse_scenario(text: str) -> Scenario:
     _keyword(cur.take("'arrivals'"), "arrivals")
     arrivals: list[int] = []
     item = cur.peek()
-    if item is not None and item[1].strip() != "observed":
+    if item is not None and item[1].strip(" \t") != "observed":
         line, text = cur.take("arrival sizes")
-        arrivals = [_parse_int(t, line, c, "group size") for c, t in _tokens(text)]
+        arrivals = [_parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
 
     observed: list[list[SeatCoord]] | None = None
     item = cur.peek()
-    if item is not None and item[1].strip() == "observed":
+    if item is not None and item[1].strip(" \t") == "observed":
         cur.take("'observed'")
         observed = []
         while cur.peek() is not None:
             line, text = cur.take("observed step")
             head, colon, _ = text.partition(":")
+            tokens = _tokens(line, text, len(head) + 1)
             if not colon:
                 raise ParseError(line, 1, "expected '<step>: row,seat ...'")
             step = _parse_int(head.strip(), line, 1, "step number")
@@ -199,17 +212,17 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"line {line}: observed step {step} out of order, expected {len(observed) + 1}"
                 )
-            observed.append([_parse_coord(t, line, c) for c, t in _tokens(text, len(head) + 1)])
+            observed.append([_parse_coord(t, line, c) for c, t in tokens])
 
     item = cur.peek()
     if item is not None:
+        _tokens(*item)  # a stray whitespace character is the error
         raise ParseError(item[0], 1, f"unexpected line {item[1]!r}")
 
-    seats = tuple(SeatCoord(n // (cols + 1) + 1, n % (cols + 1)) for n in _seat_numbers(board))
     scenario = Scenario(
         rows=rows,
         cols=cols,
-        initial_occupancy=seats,
+        initial_occupancy=tuple(board_cells(board, cols)),
         arrivals=tuple(arrivals),
         observed=tuple(observed) if observed is not None else None,
     )
@@ -284,7 +297,7 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     cols = len(grid_lines[0][1])
     configuration = Auditorium._from_board(len(grid_lines), cols, _read_grid(grid_lines, cols))
 
-    tokens = _tokens(chosen_text)
+    tokens = _tokens(chosen_line, chosen_text)
     if len(tokens) != 2 or tokens[0][1] != "chosen":
         raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {chosen_text!r}")
     column, value = tokens[1]
@@ -322,10 +335,11 @@ def emit_trajectories_csv(
         raise LengthMismatch(
             f"trajectories disagree on step count: {sorted(lengths)}"
         )
+    table.sort(key=lambda row: row[0])
     lines = ["step,label,mean,std,min,max"]
     steps = lengths.pop() if lengths else 0
     for step in range(steps):
-        for label, mean, std, low, high in sorted(table, key=lambda row: row[0]):
+        for label, mean, std, low, high in table:
             lines.append(
                 f"{step},{label},{_format_number(mean[step])},"
                 f"{_format_number(std[step])},{_format_number(low[step])},"

@@ -14,8 +14,9 @@ from seatsim import (
     entropy,
     manhattan_distance,
     parse_choices,
+    parse_scenario,
 )
-from seatsim.grid import PlacementSet
+from seatsim.grid import board_cells
 from support import (
     center_of_mass_bf,
     feasible_placements_bf,
@@ -225,13 +226,22 @@ class TestPlacementMinDistanceTo:
             assert pl.min_distance_to(coord) == placement_point_distance_bf(pl, coord)
 
 
+def start_set(cols, masks):
+    """The start int of one mask of start seats per row; bit ``s-1`` is seat ``s``."""
+    return sum(mask << r * (cols + 1) for r, mask in enumerate(masks))
+
+
+def listed(starts, size, cols):
+    return [Placement(r, s, size) for r, s in board_cells(starts, cols)]
+
+
 def closest_bf(placements, point):
     distances = {pl: placement_point_distance_bf(pl, point) for pl in placements}
     closest = min(distances.values(), default=None)
     return {pl for pl, d in distances.items() if d == closest}
 
 
-class TestClosestTo:
+class TestClosest:
     @pytest.mark.parametrize(
         "size,starts,point,expected",
         [
@@ -249,17 +259,19 @@ class TestClosestTo:
     )
     def test_examples_on_a_row_of_nine(self, size, starts, point, expected):
         mask = sum(1 << (s - 1) for s in starts)
-        found = PlacementSet.from_rows(size, 9, [mask]).closest_to(SeatCoord(*point))
-        assert list(found) == [Placement(1, s, size) for s in expected]
+        found = Auditorium(1, 9)._closest(mask, size, SeatCoord(*point))
+        assert listed(found, size, 9) == [Placement(1, s, size) for s in expected]
 
     def test_every_row_of_starts_and_every_seat(self):
         cols = 7
+        hall = Auditorium(1, cols)
         for size in (1, 2, 3, 4):
-            for mask in range(1 << (cols - size + 1)):
-                starts = PlacementSet.from_rows(size, cols, [mask])
+            for mask in range(1, 1 << (cols - size + 1)):  # the set must not be empty
+                placements = listed(mask, size, cols)
                 for seat in range(1, cols + 1):
                     point = SeatCoord(1, seat)
-                    assert set(starts.closest_to(point)) == closest_bf(starts, point)
+                    found = hall._closest(mask, size, point)
+                    assert set(listed(found, size, cols)) == closest_bf(placements, point)
 
     def test_matches_brute_force_across_rows(self):
         rng = random.Random(41)
@@ -267,14 +279,16 @@ class TestClosestTo:
             rows, cols = rng.randint(1, 6), rng.randint(4, 14)
             size = rng.randint(1, 4)
             density = rng.random()
-            starts = PlacementSet.from_rows(size, cols, [
+            starts = start_set(cols, [
                 sum(1 << b for b in range(cols - size + 1) if rng.random() < density)
                 for _ in range(rows)
             ])
             point = SeatCoord(rng.randint(1, rows), rng.randint(1, cols))
-            found = starts.closest_to(point)
-            assert set(found) == closest_bf(starts, point)
-            assert all(mask == 0 for mask in found.starts[rows:])
+            if not starts:
+                continue
+            found = Auditorium(rows, cols)._closest(starts, size, point)
+            assert found & ~starts == 0
+            assert set(listed(found, size, cols)) == closest_bf(listed(starts, size, cols), point)
 
 
 class TestGuardColumn:
@@ -315,6 +329,23 @@ class TestGuardColumn:
         if aud.occupied_count:
             assert grown.bit_count() == aud.rows * aud.cols
 
+    @pytest.mark.parametrize("cols", [1, 2, 3, 14])
+    def test_seats_on_both_sides_of_a_guard_decode_to_their_rows(self, cols):
+        # The last seat of row r and the first seat of row r+1 sit on
+        # either side of row r's guard bit.
+        rows = 3
+        cells = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)]
+        for r in range(1, rows):
+            edge = [(r, cols), (r + 1, 1)]
+            aud = Auditorium(rows, cols, edge)
+            assert aud.occupied_seats() == occupied_cells(aud) == edge
+            text = f"rows {rows}\ncols {cols}\ngrid\n" + "\n".join(aud.to_rows()) + "\narrivals\n"
+            assert parse_scenario(text).initial_occupancy == tuple(occupied_cells(aud))
+            rest = Auditorium(rows, cols, [c for c in cells if c not in edge])
+            assert list(rest.feasible_placements(1)) == feasible_placements_bf(rest, 1) == [
+                Placement(row, seat, 1) for row, seat in edge
+            ]
+
 
 class _FixedDraw:
     """Stands in for the rng: ``randrange`` returns a fixed index."""
@@ -328,7 +359,7 @@ class _FixedDraw:
         return self.n
 
 
-class TestPick:
+class TestDraw:
     def test_draws_the_nth_placement_in_row_major_order(self):
         rng = random.Random(77)
         for _ in range(300):
@@ -343,18 +374,18 @@ class TestPick:
             # the next one.
             for r in rng.sample(range(rows), rng.randint(0, rows)):
                 masks[r] |= 1 << (span - 1) | 1
-            placements = PlacementSet.from_rows(size, cols, masks)
+            starts, hall = start_set(cols, masks), Auditorium(rows, cols)
             expected = [
                 Placement(r, s, size)
                 for r, mask in enumerate(masks, start=1)
                 for s in range(1, cols + 1)
                 if mask >> (s - 1) & 1
             ]
-            assert list(placements) == expected
-            assert len(placements) == len(expected)
+            assert listed(starts, size, cols) == expected
+            assert starts.bit_count() == len(expected)
             for n in range(len(expected)):
                 draw = _FixedDraw(n)
-                assert placements.pick(draw) == expected[n]
+                assert hall._draw(starts, size, draw) == expected[n]
                 assert draw.stops == [len(expected)]
 
 

@@ -17,7 +17,7 @@ from seatsim import (
     select_random,
     select_space,
 )
-from seatsim.grid import PlacementSet
+from seatsim import grid
 from support import (
     coverage_draws,
     feasible_placements_bf,
@@ -329,25 +329,25 @@ class TestGrowthSteps:
 
     def test_center_ranks_without_listing_candidates(self, monkeypatch):
         ranked = []
-        closest_to = PlacementSet.closest_to
+        closest = Auditorium._closest
 
-        def counted(candidates, point):
+        def counted(aud, candidates, size, point):
             ranked.append(point)
-            return closest_to(candidates, point)
+            return closest(aud, candidates, size, point)
 
         def forbidden(*args):
             raise AssertionError("select_center listed or scored its candidates")
 
-        monkeypatch.setattr(PlacementSet, "closest_to", counted)
-        monkeypatch.setattr(PlacementSet, "__iter__", forbidden)
-        monkeypatch.setattr(Placement, "min_distance_to", forbidden)
         rng = random.Random(80_005)
-        for _ in range(50):
-            aud = random_auditorium(rng)
+        halls = [random_auditorium(rng) for _ in range(50)]  # built through board_cells
+        monkeypatch.setattr(Auditorium, "_closest", counted)
+        monkeypatch.setattr(grid, "board_cells", forbidden)
+        monkeypatch.setattr(Placement, "min_distance_to", forbidden)
+        for aud in halls:
             if aud.center_of_mass() is None:
                 continue
             for size in (1, 2, 3, 4):
-                # not feasible_placements: it lists through __iter__
-                if aud._free(size):
+                # not feasible_placements: it lists through board_cells
+                if aud._run_starts(aud._board, size):
                     select_center(aud, size, rng)
         assert len(ranked) > 50

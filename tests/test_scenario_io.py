@@ -483,7 +483,7 @@ class TestLineEndings:
                 "bad grid character 'x', expected '.' or '#'",
             ),
             (
-                parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1 {}2\nbogus\n", 7, 1,
+                parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1 2\n; a{}b\nbogus\n", 8, 1,
                 "unexpected line 'bogus'",
             ),
             (
@@ -521,3 +521,51 @@ class TestLineEndings:
         with pytest.raises(ParseError) as exc_info:
             parse_choices("groups 1\r\ngrid\r\n..\r\n.x\r\nchosen 1,1\r\n")
         assert (exc_info.value.line, exc_info.value.column) == (4, 2)
+
+
+# Whitespace that is neither a token separator (space, tab) nor a line end.
+_NOT_SEPARATORS = _NOT_LINE_ENDS + ["\x1f", "\xa0", "\u2003", "\u3000"]
+
+
+class TestTokenSeparators:
+    """Tokens are separated by spaces and tabs only; any other whitespace
+    character outside a comment is a ParseError at its column."""
+
+    @pytest.mark.parametrize("char", _NOT_SEPARATORS, ids=repr)
+    @pytest.mark.parametrize(
+        "parser,text,line,column",
+        [
+            (parse_scenario, "rows{}1\ncols 3\ngrid\n...\narrivals\n", 1, 5),
+            (parse_scenario, "rows 1\ncols 3\n{}grid\n...\narrivals\n", 3, 1),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1 {}1\n", 6, 3),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved{}x\n1: 1,1\n", 7, 9),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n{}1: 1,1\n", 8, 1),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1:\t1,{}1\n", 8, 6),
+            (parse_choices, "groups{}1\ngrid\n#.\nchosen 1,2\n", 1, 7),
+            (parse_choices, "groups 1\ngrid{}\tx\n#.\nchosen 1,2\n", 2, 5),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen {}1,2\n", 4, 8),
+            (
+                parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n\n{}groups 1\ngrid\n#.\nchosen 1,2\n",
+                6, 1,
+            ),
+        ],
+        ids=[
+            "rows", "grid", "arrivals", "observed", "observed-step", "observed-seat",
+            "groups", "choices-grid", "chosen", "choices-later-record",
+        ],
+    )
+    def test_other_whitespace_is_an_error_at_its_column(self, parser, text, line, column, char):
+        with pytest.raises(ParseError) as exc_info:
+            parser(text.format(char))
+        err = exc_info.value
+        assert (err.line, err.column) == (line, column)
+        assert err.message == (
+            f"unexpected whitespace {char!r}; tokens are separated by spaces and tabs"
+        )
+
+    def test_spaces_and_tabs_separate_tokens(self):
+        text = "rows 1\ncols 3\ngrid\n...\narrivals\n1 1\nobserved\n1: 1,1\n2: 1,3\n"
+        tabbed = text.replace(" ", "\t \t").replace("\n", " \t\n")
+        assert parse_scenario(tabbed) == parse_scenario(text)
+        (record,) = parse_choices("\tgroups\t1 \ngrid\t\n#.\n chosen\t1,2\t\n")
+        assert (record.group_count, record.chosen) == (1, SeatCoord(1, 2))
