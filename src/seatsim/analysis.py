@@ -79,9 +79,6 @@ def center_distance_histogram(
         raise AllRecordsFiltered(
             f"no record has at least {min_groups} seated groups"
         )
-    distances = []
-    for rec in kept:
-        center = rec.configuration.center_of_mass()
-        assert center is not None  # occupied_count >= 1 is checked on construction
-        distances.append(manhattan_distance(rec.chosen, center))
-    return Histogram(dict(Counter(distances)))
+    return Histogram(dict(Counter(  # a record's hall has an occupant, hence a center
+        manhattan_distance(rec.chosen, rec.configuration.center_of_mass()) for rec in kept
+    )))

@@ -93,12 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: Path):
-    return parse_scenario(path.read_text(encoding="utf-8"))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(args.scenario.read_text(encoding="utf-8"))
     policies = list(POLICY_NAMES) if args.policy == "all" else [args.policy]
     named: list = [
         (policy, run_many(scenario, policy, args.runs, args.seed, workers=args.workers))
@@ -115,13 +111,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trajectory = replay_observed(_load_scenario(args.scenario))
+    trajectory = replay_observed(parse_scenario(args.scenario.read_text(encoding="utf-8")))
     sys.stdout.write(emit_trajectories_csv([("real", trajectory)]))
     return 0
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.scenario)
+    scenario = parse_scenario(args.scenario.read_text(encoding="utf-8"))
     print(entropy(scenario.initial_auditorium()))
     return 0
 

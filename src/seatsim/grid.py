@@ -56,13 +56,8 @@ class Placement(NamedTuple):
         Equivalent to ``min(manhattan_distance(s, coord) for s in seats())``;
         computed in closed form as point-to-interval distance.
         """
-        vertical = abs(self.row - coord.row)
         last = self.start_seat + self.size - 1
-        if coord.seat < self.start_seat:
-            return vertical + self.start_seat - coord.seat
-        if coord.seat > last:
-            return vertical + coord.seat - last
-        return vertical
+        return abs(self.row - coord.row) + max(self.start_seat - coord.seat, 0, coord.seat - last)
 
 
 def manhattan_distance(p: SeatCoord, q: SeatCoord) -> int:
@@ -240,10 +235,8 @@ class Auditorium:
             if not run << (row - 1) * self._width & (self._board | ~self._valid):
                 self._add(row, run, size * start + size * (size - 1) // 2)
                 return
-        self._check_bounds(row, start)
-        if taken := self._row(row) & ((1 << size) - 1) << start - 1:
-            raise SeatConflict(f"seat ({row},{(taken & -taken).bit_length()}) is already occupied")
-        self._check_bounds(row, min(start + size - 1, self.cols + 1))
+        # Some seat is taken or off the hall: seated one by one, the first such seat raises.
+        self.occupy_seats((row, seat) for seat in range(start, start + size))
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats (used when replaying recorded placements)."""
@@ -293,8 +286,10 @@ class Auditorium:
 
         The starts whose run covers the point's seat are at distance 0, and
         grown by d Manhattan steps they are the starts within d; so grow
-        them until they meet ``starts``, which must be non-empty.
+        them until they meet ``starts``; an empty ``starts`` gives 0.
         """
+        if not starts:
+            return 0
         row, seat = point
         ball = ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
         while not ball & starts:

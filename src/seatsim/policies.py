@@ -127,10 +127,6 @@ def select_placement(
     policy: str, aud: Auditorium, size: int, rng: RandomSource
 ) -> Placement:
     """Dispatch to the named rule; ``policy`` is one of POLICY_NAMES."""
-    try:
-        rule = POLICIES[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}"
-        ) from None
-    return rule(aud, size, rng)
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    return POLICIES[policy](aud, size, rng)

@@ -4,9 +4,10 @@ All files are UTF-8. Lines end at LF only; a CR before the LF is trailing
 whitespace, and no other character ends a line. Tokens are separated by
 spaces and tabs only; outside comments, any other whitespace character
 (form feed, ``\x1c``, no-break space, a CR inside a line, ...) is a
-:class:`ParseError` at its column. Blank lines are ignored and lines whose
-first character other than a space or tab is ``;`` are comments (``#``
-marks an occupied seat, so it cannot introduce comments).
+:class:`ParseError` at its column; a line holding only such characters is
+not blank. Blank lines are ignored and lines whose first character other
+than a space or tab is ``;`` are comments (``#`` marks an occupied seat,
+so it cannot introduce comments).
 
 Scenario format::
 
@@ -23,7 +24,7 @@ Scenario format::
     2: 5,8 5,9               one line per arrival step
 
 Choices format (questionnaire answers), records separated by blank
-lines::
+lines; a record ends at its ``chosen`` line::
 
     groups 2              <- number of distinct seated groups shown
     grid
@@ -287,15 +288,24 @@ def parse_choices(text: str) -> list[ChoiceRecord]:
 
 
 def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
+    group_count = _int_field(lines[0], "groups")
     if len(lines) < 4:
         raise ParseError(lines[0][0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'")
-    group_count = _int_field(lines[0], "groups")
 
     _keyword(lines[1], "grid")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
     cols = len(grid_lines[0][1])
-    configuration = Auditorium._from_board(len(grid_lines), cols, _read_grid(grid_lines, cols))
+    try:
+        board = _read_grid(grid_lines, cols)
+    except ParseError as exc:  # at a 'chosen' line, the fault is the line after it
+        n = next(n for n, (line, _) in enumerate(lines) if line == exc.line)
+        if not lines[n][1].lstrip(" \t").startswith("chosen"):
+            raise
+        line, text = lines[n + 1]
+        _tokens(line, text)  # a stray whitespace character is the error
+        raise ParseError(line, 1, f"unexpected line {text!r}") from None
+    configuration = Auditorium._from_board(len(grid_lines), cols, board)
 
     tokens = _tokens(chosen_line, chosen_text)
     if len(tokens) != 2 or tokens[0][1] != "chosen":

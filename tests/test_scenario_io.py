@@ -272,6 +272,29 @@ class TestParseChoices:
         with pytest.raises(ValidationError):
             parse_choices("groups 1\ngrid\n#..\nchosen 1,9\n")
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("groups 1\ngrid\n#.\nchosen 1,2\nxyz\n", 5, 1, "unexpected line 'xyz'"),
+            (
+                "groups 1\ngrid\n#.\nchosen 1,2\nxyz\ngroups 1\ngrid\n#.\nchosen 1,2\n", 5, 1,
+                "unexpected line 'xyz'",
+            ),
+            ("groups 1\ngrid\nchosen 1,2\nxyz\n", 4, 1, "unexpected line 'xyz'"),
+            # a grid fault before the 'chosen' line is still the first one
+            (
+                "groups 1\ngrid\n#x\nchosen 1,2\nxyz\n", 3, 2,
+                "bad grid character 'x', expected '.' or '#'",
+            ),
+        ],
+        ids=["end-of-file", "before-a-record", "no-grid-rows", "grid-fault-first"],
+    )
+    def test_line_after_chosen_is_reported_on_its_own_line(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc_info:
+            parse_choices(text)
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+
 
 class TestEmitTrajectoriesCsv:
     def test_single_plain_trajectory(self):
@@ -569,3 +592,38 @@ class TestTokenSeparators:
         assert parse_scenario(tabbed) == parse_scenario(text)
         (record,) = parse_choices("\tgroups\t1 \ngrid\t\n#.\n chosen\t1,2\t\n")
         assert (record.group_count, record.chosen) == (1, SeatCoord(1, 2))
+
+    @pytest.mark.parametrize("char", [c for c in _NOT_SEPARATORS if c != "\r"], ids=repr)
+    @pytest.mark.parametrize(
+        "parser,text,line",
+        [
+            (parse_scenario, "rows 1\ncols 3\n{}\ngrid\n...\narrivals\n", 3),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1\n{}\nobserved\n1: 1,1\n", 7),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1\n{}\n", 7),
+            (parse_choices, "{}\ngroups 1\ngrid\n#.\nchosen 1,2\n", 1),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n{}\ngroups 1\ngrid\n#.\nchosen 1,2\n", 5),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n\n{}\n\ngroups 1\ngrid\n#.\nchosen 1,2\n", 6),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n{}\n", 5),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen 1,2\n\n{}\n", 6),
+        ],
+        ids=[
+            "scenario-between-sections", "scenario-before-observed", "scenario-end",
+            "choices-start", "choices-between-records", "choices-between-blank-lines",
+            "choices-end", "choices-end-after-blank-line",
+        ],
+    )
+    def test_line_of_only_other_whitespace_is_an_error(self, parser, text, line, char):
+        # Such a line is not blank: it neither separates records nor is skipped.
+        with pytest.raises(ParseError) as exc_info:
+            parser(text.format(char))
+        err = exc_info.value
+        assert (err.line, err.column) == (line, 1)
+        assert err.message == (
+            f"unexpected whitespace {char!r}; tokens are separated by spaces and tabs"
+        )
+
+    def test_line_of_only_a_cr_is_blank(self):
+        two = "groups 1\ngrid\n#.\nchosen 1,2\n\r\ngroups 1\ngrid\n.#\nchosen 1,1\n\r\n"
+        assert [r.chosen for r in parse_choices(two)] == [SeatCoord(1, 2), SeatCoord(1, 1)]
+        text = "rows 1\ncols 3\ngrid\n...\narrivals\n1\n"
+        assert parse_scenario(text + "\r\n") == parse_scenario(text)
