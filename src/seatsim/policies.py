@@ -7,12 +7,17 @@ Randomness is consumed only to choose uniformly among equally good
 placements, as ``options[rng.randrange(len(options))]`` over the
 deterministic row-major candidate order, so a fixed seed fixes the choice.
 
-Each rule is one start-set int over the hall's bitboard, handed to the
-one shared draw in ``_pick``: the occupants grown d steps
-(``Auditorium._grow``) block every seat within d of someone seated, and
-``Auditorium._run_starts`` of that gives the placements farther than d
-from every occupant. A rule scans only the distances it reads; ``_pick``
-scans the bare free set (d = 0) only when the rule's set is empty.
+Each rule is a pure start-set function of ``(aud, size)`` (``max_starts``
+and so on, looked up by :func:`starts_of`): one int with a bit per start
+seat, the fall-back to every feasible spot included, or
+:class:`NoFeasiblePlacement` when there is none. That int is handed to the
+one shared draw, ``Auditorium._draw``, and ``select_*`` is the function
+plus the draw; a simulation computes it once per distinct board and draws
+per run. The occupants grown d steps (``Auditorium._grow``) block every
+seat within d of someone seated, and ``Auditorium._run_starts`` of that
+gives the placements farther than d from every occupant. A rule scans only
+the distances it reads, and scans the bare free set (d = 0,
+:func:`random_starts`) only when its own set is empty.
 """
 
 from __future__ import annotations
@@ -35,21 +40,16 @@ class NoFeasiblePlacement(Exception):
         self.run = run
 
 
-def _pick(aud: Auditorium, size: int, rng: RandomSource, preferred: int = 0) -> Placement:
-    """Draw (:meth:`Auditorium._draw`) among the placements starting at the set
-    bits of ``preferred``, or among every feasible placement when there are none."""
-    starts = preferred or aud._run_starts(aud._board, size)
+def random_starts(aud: Auditorium, size: int) -> int:
+    """Uniform choice over every feasible placement; the other rules fall
+    back to it when their own set is empty."""
+    starts = aud._run_starts(aud._board, size)
     if not starts:
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
-    return aud._draw(starts, size, rng)
+    return starts
 
 
-def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Uniform choice over every feasible placement."""
-    return _pick(aud, size, rng)
-
-
-def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+def max_starts(aud: Auditorium, size: int) -> int:
     """Maximize the minimum Manhattan distance to the people already seated.
 
     The distance of a placement is the smallest distance over its member
@@ -62,10 +62,10 @@ def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
         grown = aud._grow(aud._board)
         while beyond := aud._run_starts(grown, size):
             farthest, grown = beyond, aud._grow(grown)
-    return _pick(aud, size, rng, farthest)
+    return farthest or random_starts(aud, size)
 
 
-def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+def space_starts(aud: Auditorium, size: int) -> int:
     """Seek a nearest-occupied distance between 2 and 4 inclusive.
 
     If no placement falls in that band, take the smallest available
@@ -80,20 +80,20 @@ def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     near = aud._grow(aud._board)
     beyond1 = aud._run_starts(near, size)
     beyond4 = aud._run_starts(aud._grow(aud._grow(aud._grow(near))), size)
-    return _pick(aud, size, rng, beyond1 & ~beyond4)
+    return (beyond1 & ~beyond4) or random_starts(aud, size)
 
 
-def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+def simple_starts(aud: Auditorium, size: int) -> int:
     """Uniform choice among placements with nearest-occupied distance > 2.
 
     Falls back to a uniform choice over all feasible placements when no
     spot keeps that much room.
     """
     roomy = aud._run_starts(aud._grow(aud._grow(aud._board)), size)
-    return _pick(aud, size, rng, roomy)
+    return roomy or random_starts(aud, size)
 
 
-def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+def center_starts(aud: Auditorium, size: int) -> int:
     """Among placements with distance >= 2, sit closest to the center of mass.
 
     Candidate placements keep a nearest-occupied distance of at least 2;
@@ -109,7 +109,32 @@ def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
     candidates = aud._run_starts(aud._grow(aud._board), size)
     if candidates and (center := aud.center_of_mass()) is not None:
         candidates = aud._closest(candidates, size, center)
-    return _pick(aud, size, rng, candidates)
+    return candidates or random_starts(aud, size)
+
+
+def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+    """Draw among :func:`random_starts`."""
+    return aud._draw(random_starts(aud, size), size, rng)
+
+
+def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+    """Draw among :func:`max_starts`."""
+    return aud._draw(max_starts(aud, size), size, rng)
+
+
+def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+    """Draw among :func:`space_starts`."""
+    return aud._draw(space_starts(aud, size), size, rng)
+
+
+def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+    """Draw among :func:`simple_starts`."""
+    return aud._draw(simple_starts(aud, size), size, rng)
+
+
+def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
+    """Draw among :func:`center_starts`."""
+    return aud._draw(center_starts(aud, size), size, rng)
 
 
 POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {
@@ -122,11 +147,25 @@ POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {
 
 POLICY_NAMES: tuple[str, ...] = tuple(POLICIES)
 
+_STARTS: dict[str, Callable[[Auditorium, int], int]] = {
+    "random": random_starts,
+    "max": max_starts,
+    "space": space_starts,
+    "simple": simple_starts,
+    "center": center_starts,
+}
+
+
+def starts_of(policy: str) -> Callable[[Auditorium, int], int]:
+    """The start-set function of the named rule; ``policy`` is one of
+    POLICY_NAMES, anything else raises ``ValueError``."""
+    if policy not in _STARTS:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    return _STARTS[policy]
+
 
 def select_placement(
     policy: str, aud: Auditorium, size: int, rng: RandomSource
 ) -> Placement:
     """Dispatch to the named rule; ``policy`` is one of POLICY_NAMES."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
-    return POLICIES[policy](aud, size, rng)
+    return aud._draw(starts_of(policy)(aud, size), size, rng)

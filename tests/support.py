@@ -34,7 +34,10 @@ def feasible_placements_bf(aud: Auditorium, size: int) -> list[Placement]:
 
 
 def min_distance_bf(aud: Auditorium, placement: Placement) -> float:
-    seated = occupied_cells(aud)
+    return _min_distance(occupied_cells(aud), placement)
+
+
+def _min_distance(seated: list[SeatCoord], placement: Placement) -> float:
     if not seated:
         return math.inf
     return min(
@@ -79,7 +82,8 @@ def placement_point_distance_bf(placement: Placement, coord: SeatCoord) -> int:
 
 def policy_candidates_bf(policy: str, aud: Auditorium, size: int) -> set[Placement]:
     """The exact set of placements the named policy may return."""
-    pairs = [(pl, min_distance_bf(aud, pl)) for pl in feasible_placements_bf(aud, size)]
+    seated = occupied_cells(aud)
+    pairs = [(pl, _min_distance(seated, pl)) for pl in feasible_placements_bf(aud, size)]
     everything = {pl for pl, _ in pairs}
     if not pairs:
         return set()
@@ -130,6 +134,47 @@ def run_once_bf(scenario: Scenario, policy: str, seed: int) -> list[int]:
         aud.occupy(options[rng.randrange(len(options))])
         trajectory.append(entropy_bf(aud))
     return trajectory
+
+
+class SeatSet:
+    """The ``rows``/``cols``/``is_occupied`` surface of a hall, over a plain
+    set of occupied ``(row, seat)`` pairs; no grid code is involved."""
+
+    def __init__(self, rows: int, cols: int, seats: frozenset):
+        self.rows, self.cols, self.seats = rows, cols, seats
+
+    def is_occupied(self, row: int, seat: int) -> bool:
+        return (row, seat) in self.seats
+
+
+def exact_mean_trajectory(scenario: Scenario, policy: str) -> list[Fraction]:
+    """The expected entropy after each step, over every seed.
+
+    Carries a ``{board: probability}`` map forward a step at a time, each
+    board's mass spread evenly over the placements ``policy_candidates_bf``
+    allows, and boards reached along different paths merged. A board is the
+    set of occupied seats. Raises ``ValueError`` if some reachable board has
+    no room for the arriving group.
+    """
+    rows, cols = scenario.rows, scenario.cols
+    boards = {frozenset(scenario.initial_occupancy): Fraction(1)}
+
+    def mean(boards: dict[frozenset, Fraction]) -> Fraction:
+        return sum(mass * entropy_bf(SeatSet(rows, cols, seats)) for seats, mass in boards.items())
+
+    means = [mean(boards)]
+    for step, size in enumerate(scenario.arrivals, start=1):
+        reached: dict[frozenset, Fraction] = {}
+        for seats, mass in boards.items():
+            options = policy_candidates_bf(policy, SeatSet(rows, cols, seats), size)
+            if not options:
+                raise ValueError(f"no room for a group of {size} at step {step}")
+            for placement in options:
+                key = seats | frozenset(placement.seats())
+                reached[key] = reached.get(key, 0) + mass / len(options)
+        boards = reached
+        means.append(mean(boards))
+    return means
 
 
 def coverage_draws(set_size: int, floor: int = 500, miss_probability: float = 1e-9) -> int:

@@ -18,25 +18,41 @@ from seatsim.cli import main
 FIG1_ALL_200_SEED0_SHA256 = (
     "be3c3bf9e299d55e6105ac25b18f5ccb33d0bfebdb393ce94c01816e5b7ad8ed"
 )
+# The north-star workload; at 1000 runs its shards switch from shared to
+# run-by-run steps at other steps than at 200.
+FIG1_ALL_1000_SEED0_SHA256 = (
+    "187595c6a764125b3d2abde272168d5fd257f120b984bc38cdb67f61a194e61d"
+)
 WIDE_HALL_ALL_5_SEED0_SHA256 = (
     "e6d7dfb9825f19056c6e6fb0251dd87ac977aa757e5322df0a61519615249117"
 )
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_fig1_all_policies_csv_digest(fig1_path, tmp_path, workers):
+def fig1_all_policies_digest(fig1_path, tmp_path, runs: str, workers: str) -> str:
     out = tmp_path / "fig1.csv"
     code = main([
         "simulate",
         "--scenario", str(fig1_path),
         "--policy", "all",
-        "--runs", "200",
+        "--runs", runs,
         "--seed", "0",
         "--workers", workers,
         "--out", str(out),
     ])
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG1_ALL_200_SEED0_SHA256
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fig1_all_policies_csv_digest(fig1_path, tmp_path, workers):
+    digest = fig1_all_policies_digest(fig1_path, tmp_path, "200", workers)
+    assert digest == FIG1_ALL_200_SEED0_SHA256
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fig1_north_star_csv_digest(fig1_path, tmp_path, workers):
+    digest = fig1_all_policies_digest(fig1_path, tmp_path, "1000", workers)
+    assert digest == FIG1_ALL_1000_SEED0_SHA256
 
 
 def wide_hall_scenario() -> str:

@@ -500,6 +500,10 @@ class TestConstruction:
         assert aud != dup
 
     @given(auditoriums())
+    def test_copy_carries_every_field(self, aud):
+        assert vars(aud.copy()) == vars(aud)
+
+    @given(auditoriums())
     def test_equality_tracks_occupancy(self, aud):
         clone = Auditorium(aud.rows, aud.cols, occupied_cells(aud))
         assert clone == aud

@@ -22,7 +22,9 @@ from seatsim import (
     run_many,
     run_once,
 )
-from support import mirrored, occupied_cells, run_once_bf
+from seatsim import parse_scenario, policies
+from support import exact_mean_trajectory, mirrored, occupied_cells, run_once_bf
+from test_golden import wide_hall_scenario
 
 
 def small_scenario() -> Scenario:
@@ -153,6 +155,113 @@ class TestRunMany:
         with pytest.raises(ValueError):
             run_many(small_scenario(), "random", 0, 0)
 
+    @pytest.mark.parametrize("runs", [3, 8])
+    def test_unknown_policy_raises_without_arrivals(self, runs):
+        sc = Scenario(rows=2, cols=3, initial_occupancy=(), arrivals=())
+        message = r"unknown policy 'bogus'; expected one of random, max, space, simple, center$"
+        with pytest.raises(ValueError, match=message):
+            run_many(sc, "bogus", runs, 0)
+        with pytest.raises(ValueError, match=message):
+            run_once(sc, "bogus", 0)
+
+
+def _replayed_boards(monkeypatch, sc: Scenario, policy: str, runs: int, master_seed: int):
+    """Per run, the board before each step and after the last, from
+    ``run_once`` replays (which score every board they reach, in order)."""
+    boards: list[int] = []
+    score = simulation.entropy
+
+    def recording(aud):
+        boards.append(aud._board)
+        return score(aud)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "entropy", recording)
+        for run in range(runs):
+            run_once(sc, policy, derive_seed(master_seed, run))
+    steps = len(sc.arrivals) + 1
+    return [boards[run * steps:(run + 1) * steps] for run in range(runs)]
+
+
+def _no_own_step(*args):
+    raise AssertionError("a run stepped on its own")
+
+
+class TestStepMajor:
+    """``run_many`` advances a shard's runs together while their boards
+    repeat (``SHARE_BELOW``) and then finishes each run on its own; every
+    trajectory stays the one ``run_once`` plays."""
+
+    @pytest.fixture(scope="class")
+    def wide_hall(self):
+        return parse_scenario(wide_hall_scenario())
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("share", ["never", "to the last step"])
+    def test_both_paths_match_run_once(self, fig1_scenario, wide_hall, monkeypatch, policy, share):
+        for sc, runs in ((fig1_scenario, 40), (wide_hall, 8)):
+            expected = [run_once(sc, policy, derive_seed(9, run)) for run in range(runs)]
+            with monkeypatch.context() as patch:
+                if share == "never":
+                    patch.setattr(simulation, "SHARE_BELOW", 0.0)
+                    calls = []
+                    play = simulation.run_once
+                    patch.setattr(
+                        simulation, "run_once", lambda *args: calls.append(args) or play(*args)
+                    )
+                else:
+                    # Distinct boards never reach twice the runs; no run steps on its own.
+                    patch.setattr(simulation, "SHARE_BELOW", 2.0)
+                    patch.setattr(simulation, "select_placement", _no_own_step)
+                assert simulation._run_range(sc, policy, 9, 0, runs) == expected
+            if share == "never":
+                assert len(calls) == runs
+
+    @pytest.mark.parametrize("runs, own", [(1, 1), (3, 3), (4, 0), (9, 0)])
+    def test_shards_of_three_runs_or_fewer_share_nothing(
+        self, fig1_scenario, monkeypatch, runs, own
+    ):
+        played = []
+        play = simulation.run_once
+        monkeypatch.setattr(
+            simulation, "run_once", lambda *args: played.append(args) or play(*args)
+        )
+        run_many(fig1_scenario, "center", runs, 1)
+        assert len(played) == own
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("share", [None, 2.0])
+    def test_one_rule_set_per_distinct_board(self, fig1_scenario, monkeypatch, policy, share):
+        runs, master_seed = 30, 4
+        replays = _replayed_boards(monkeypatch, fig1_scenario, policy, runs, master_seed)
+        steps = len(fig1_scenario.arrivals)
+        distinct = [len({boards[step] for boards in replays}) for step in range(steps)]
+        if share is not None:
+            monkeypatch.setattr(simulation, "SHARE_BELOW", share)
+        limit = int(simulation.SHARE_BELOW * runs)
+        # A shard shares each step until its distinct boards reach the limit;
+        # from there every run computes its own rule set at every step.
+        switch = next((step for step, count in enumerate(distinct) if count >= limit), steps)
+        expected = distinct[:switch] + [runs] * (steps - switch)
+
+        # The rule's start-set computations, by the step (seats taken) they serve.
+        computed: dict[int, int] = {}
+        rule = policies._STARTS[policy]
+
+        def counted(aud, size):
+            computed[aud.occupied_count] = computed.get(aud.occupied_count, 0) + 1
+            return rule(aud, size)
+
+        monkeypatch.setitem(policies._STARTS, policy, counted)
+        run_many(fig1_scenario, policy, runs, master_seed)
+        seated = len(fig1_scenario.initial_occupancy)
+        per_step = []
+        for size in fig1_scenario.arrivals:
+            per_step.append(computed.get(seated, 0))
+            seated += size
+        assert per_step == expected
+        assert (switch < steps) == (share is None)
+
 
 # A 1x3 hall where the second group (2 seats) fails whenever the first
 # person took the middle seat; with 6 runs and 2 shards, runs 3-5 are shard 1.
@@ -176,6 +285,38 @@ def _tight_seed(first_failure_in_shard_0: bool) -> int:
     for seed in range(1000):
         failing = _failing_runs(seed)
         if failing and failing[-1] >= half and (failing[0] < half) == first_failure_in_shard_0:
+            return seed
+    raise AssertionError("no such seed")
+
+
+# A 1x7 hall with seats 4 and 6 taken: after a single, a pair finds no room
+# at step 2 or at step 3, depending on where the single and the first pair sat.
+CRAMPED = Scenario(rows=1, cols=7, initial_occupancy=((1, 4), (1, 6)), arrivals=(1, 2, 2))
+CRAMPED_RUNS = 16
+
+
+def _serial_failure(sc: Scenario, runs: int, master_seed: int):
+    """Message, run and step of the failure that playing the runs one by one
+    reports: the lowest failing run's."""
+    for run in range(runs):
+        try:
+            run_once(sc, "random", derive_seed(master_seed, run))
+        except NoFeasiblePlacement as exc:
+            return f"run {run}: {exc}", run, exc.step
+    return None
+
+
+def _cramped_seed() -> int:
+    """A master seed where, within the first half of the runs, a run fails
+    at an earlier step than the lowest failing run."""
+    for seed in range(1000):
+        steps = {}
+        for run in range(CRAMPED_RUNS // 2):
+            try:
+                run_once(CRAMPED, "random", derive_seed(seed, run))
+            except NoFeasiblePlacement as exc:
+                steps[run] = exc.step
+        if steps and min(steps.values()) < steps[min(steps)]:
             return seed
     raise AssertionError("no such seed")
 
@@ -283,6 +424,50 @@ class TestShards:
         assert sharded.value.run == _failing_runs(seed)[0] < TIGHT_RUNS // 2
         assert_no_child_left()
 
+    def test_lowest_failing_run_within_a_shard(self, two_shards, monkeypatch):
+        seed = _cramped_seed()
+        serial = _serial_failure(CRAMPED, CRAMPED_RUNS, seed)
+        # Seats taken on each board where the rule found no room, in order.
+        full = []
+        rule = policies._STARTS["random"]
+
+        def recording(aud, size):
+            try:
+                return rule(aud, size)
+            except NoFeasiblePlacement:
+                full.append(aud.occupied_count)
+                raise
+
+        monkeypatch.setitem(policies._STARTS, "random", recording)
+        for workers in (1, 2):
+            full.clear()
+            with pytest.raises(NoFeasiblePlacement) as exc_info:
+                run_many(CRAMPED, "random", CRAMPED_RUNS, seed, workers=workers)
+            failure = exc_info.value
+            assert (str(failure), failure.run, failure.step) == serial
+            # The first shard, played in this process, met a later run's
+            # failure at an earlier step first.
+            assert full[0] < full[-1]
+        assert len(two_shards) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sc", [
+        CRAMPED,
+        # Whoever takes the middle seat fails at step 2, everyone else at step 3.
+        Scenario(rows=1, cols=3, initial_occupancy=(), arrivals=(1, 2, 2)),
+        # Several boards of one step leave no run of three seats.
+        Scenario(rows=1, cols=5, initial_occupancy=(), arrivals=(1, 1, 3)),
+    ])
+    def test_failures_match_the_serial_loop_over_seeds(self, sc):
+        for seed in range(40):
+            try:
+                run_many(sc, "random", CRAMPED_RUNS, seed)
+            except NoFeasiblePlacement as exc:
+                failure = str(exc), exc.run, exc.step
+            else:
+                failure = None
+            assert failure == _serial_failure(sc, CRAMPED_RUNS, seed), f"seed {seed}"
+
     def test_other_errors_cross_the_pipe_with_their_type(self, two_shards, monkeypatch):
         parent = os.getpid()
         real_select = simulation.select_placement
@@ -312,6 +497,43 @@ class TestShards:
             run_many(small_scenario(), "random", 10, 0, workers=2)
         assert "without a result" in str(exc_info.value)
         assert_no_child_left()
+
+
+def _small_hall(seed: int) -> Scenario:
+    """A 4x6 hall about a third full, where 5 groups of 1 or 2 arrive."""
+    rng = random.Random(seed)
+    seats = tuple((r, s) for r in range(1, 5) for s in range(1, 7) if rng.random() < 0.35)
+    arrivals = tuple(rng.randint(1, 2) for _ in range(5))
+    return Scenario(rows=4, cols=6, initial_occupancy=seats, arrivals=arrivals)
+
+
+class TestExactReferee:
+    """The Monte Carlo mean lies within four standard errors of the exact
+    expectation of the brute-force rules at every step, whatever order the
+    runs' draws meet their boards in."""
+
+    @staticmethod
+    def assert_near_exact(sc: Scenario, policy: str, runs: int, master_seed: int):
+        exact = exact_mean_trajectory(sc, policy)
+        aggregate = run_many(sc, policy, runs, master_seed)
+        assert len(exact) == len(aggregate.mean) == len(sc.arrivals) + 1
+        for step, (mean, std, expected) in enumerate(zip(aggregate.mean, aggregate.std, exact)):
+            assert abs(mean - float(expected)) <= 4 * std / math.sqrt(runs) + 1e-9, f"step {step}"
+
+    def test_center_on_fig1(self, fig1_scenario):
+        # The first ten groups keep the exact map to a few thousand boards.
+        sc = Scenario(
+            rows=fig1_scenario.rows,
+            cols=fig1_scenario.cols,
+            initial_occupancy=fig1_scenario.initial_occupancy,
+            arrivals=fig1_scenario.arrivals[:10],
+        )
+        self.assert_near_exact(sc, "center", 1000, 0)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("hall", [0, 1])
+    def test_every_rule_on_small_halls(self, policy, hall):
+        self.assert_near_exact(_small_hall(hall), policy, 2000, hall)
 
 
 class TestInitialHall:
