@@ -112,12 +112,12 @@ class Auditorium:
     """Mutable rows x cols grid of occupied/empty seats.
 
     The state is one int, a bit per seat in the padded layout of the module
-    docstring (``_valid`` has every seat bit set), plus the occupant count,
-    the sums of occupied row and seat numbers (for the center of mass) and
-    the entropy score, all kept up to date as seats are taken.
-    ``occupy``/``occupy_seats`` are the only mutators and only ever flip
-    seats from empty to occupied. Placement and distance queries are
-    computed from the board on each call; nothing is cached.
+    docstring (``_valid`` has every seat bit set), plus the sums of occupied
+    row and seat numbers (for the center of mass) and the entropy score,
+    kept up to date as seats are taken; the occupant count is the board's
+    popcount. ``occupy``/``occupy_seats`` are the only mutators and only
+    ever flip seats from empty to occupied. Placement and distance queries
+    are computed from the board on each call; nothing is cached.
     """
 
     def __init__(self, rows: int, cols: int, occupied: Iterable[tuple[int, int]] = ()):
@@ -125,25 +125,28 @@ class Auditorium:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
         self.rows, self.cols, self._width = rows, cols, cols + 1
         self._valid = _seat_bits(rows, cols + 1)
-        self._board = self._count = self._row_sum = self._seat_sum = self._entropy = 0
+        self._board = self._row_sum = self._seat_sum = self._entropy = 0
         self.occupy_seats(occupied)
 
     @classmethod
     def _from_board(cls, rows: int, cols: int, board: int) -> Auditorium:
+        aud = cls(rows, cols)
+        aud._set_board(board)
+        return aud
+
+    def _set_board(self, board: int) -> None:
         # Shifted right by r = 0, 1, ... rows, the board keeps rows r+1 on, so row k
         # is counted k times; the seat sum adds bit k of the seat numbers a slice at a time.
-        aud = cls(rows, cols)
+        cols = self.cols
         flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``_flips``
         row_sum = seat_sum = score = 0
-        for shift in range(0, board.bit_length(), aud._width):  # empty rows add 0
+        for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
             row_sum += (board >> shift).bit_count()
             score += (flips >> shift & inner).bit_count() ** 2
-        rep = aud._valid // ((1 << cols) - 1)  # the first seat of each row
+        rep = self._valid // ((1 << cols) - 1)  # the first seat of each row
         for k in range(cols.bit_length()):
             seat_sum += (board & rep * _bit_slice(k, cols)).bit_count() << k
-        aud._board, aud._count = board, board.bit_count()
-        aud._row_sum, aud._seat_sum, aud._entropy = row_sum, seat_sum, score
-        return aud
+        self._board, self._row_sum, self._seat_sum, self._entropy = board, row_sum, seat_sum, score
 
     @classmethod
     def from_rows(cls, lines: Sequence[str]) -> Auditorium:
@@ -171,7 +174,7 @@ class Auditorium:
         # 9% to ``dup.__dict__.update``, and a few percent to ``vars(self)``
         # once simulations copied the halls their runs share.
         dup.rows, dup.cols, dup._width, dup._valid = self.rows, self.cols, self._width, self._valid
-        dup._board, dup._count, dup._row_sum = self._board, self._count, self._row_sum
+        dup._board, dup._row_sum = self._board, self._row_sum
         dup._seat_sum, dup._entropy = self._seat_sum, self._entropy
         return dup
 
@@ -181,7 +184,7 @@ class Auditorium:
         return (self.rows, self.cols, self._board) == (other.rows, other.cols, other._board)
 
     def __repr__(self) -> str:
-        occupied = f"{self._count}/{self.rows * self.cols} occupied"
+        occupied = f"{self._board.bit_count()}/{self.rows * self.cols} occupied"
         return f"Auditorium({self.rows}x{self.cols}, {occupied})"
 
     def _check_bounds(self, row: int, seat: int) -> None:
@@ -197,7 +200,7 @@ class Auditorium:
 
     @property
     def occupied_count(self) -> int:
-        return self._count
+        return self._board.bit_count()
 
     def occupied_seats(self) -> list[SeatCoord]:
         """All occupied seats in row-major order."""
@@ -207,17 +210,6 @@ class Auditorium:
         """Occupancy bitmask of one row; bit ``s-1`` is seat ``s``."""
         self._check_bounds(row, 1)
         return self._row(row)
-
-    def _add(self, row: int, bits: int, seat_sum: int) -> None:
-        # Occupy the empty seats ``bits`` of ``row``, whose numbers sum to
-        # ``seat_sum``; only that row's flips change, so the score moves
-        # by new flips² - old flips².
-        count, old = bits.bit_count(), self._row(row)
-        self._board |= bits << (row - 1) * self._width
-        self._count += count
-        self._row_sum += row * count
-        self._seat_sum += seat_sum
-        self._entropy += _flips(old | bits, self.cols) ** 2 - _flips(old, self.cols) ** 2
 
     def occupy(self, placement: Placement) -> None:
         """Seat a group on ``placement``; every covered seat must be empty.
@@ -236,22 +228,28 @@ class Auditorium:
         if row > 0 and 0 < start <= self.cols:
             run = ((1 << size) - 1) << start - 1
             if not run << (row - 1) * self._width & (self._board | ~self._valid):
-                self._add(row, run, size * start + size * (size - 1) // 2)
+                # Only this row's flips change: the score moves by new flips² - old flips².
+                old = self._row(row)
+                self._board |= run << (row - 1) * self._width
+                self._row_sum += row * size
+                self._seat_sum += size * start + size * (size - 1) // 2
+                self._entropy += _flips(old | run, self.cols) ** 2 - _flips(old, self.cols) ** 2
                 return
         # Some seat is taken or off the hall: seated one by one, the first such seat raises.
         self.occupy_seats((row, seat) for seat in range(start, start + size))
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
-        """Occupy arbitrary seats (used when replaying recorded placements)."""
-        staged: dict[int, int] = {}
+        """Occupy arbitrary seats in order; the first one off the hall, or taken
+        by an occupant or an earlier seat of ``coords``, raises and changes nothing."""
+        board, width = self._board, self._width
         for row, seat in coords:
             self._check_bounds(row, seat)
-            bit = 1 << (seat - 1)
-            if (self._row(row) | staged.get(row, 0)) & bit:
+            bit = 1 << (row - 1) * width + seat - 1
+            if board & bit:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
-            staged[row] = staged.get(row, 0) | bit
-        for row, bits in staged.items():
-            self._add(row, bits, sum(seat for _, seat in board_cells(bits, self.cols)))
+            board |= bit
+        if board != self._board:
+            self._set_board(board)
 
     def _run_starts(self, blocked: int, size: int) -> int:
         # The seats that start ``size`` seats clear of ``blocked``.
@@ -323,7 +321,7 @@ class Auditorium:
             raise ValueError(f"group size must be positive, got {size}")
         self._check_bounds(row, start)
         self._check_bounds(row, start + size - 1)
-        if not self._count:
+        if not self._board:
             return math.inf
         run = ((1 << size) - 1) << (row - 1) * self._width + start - 1
         grown, distance = self._board, 0
@@ -337,7 +335,7 @@ class Auditorium:
 
     def center_of_mass(self) -> SeatCoord | None:
         """Mean occupied row and seat, each rounded half-up; None if empty."""
-        if self._count == 0:
+        if not self._board:
             return None
-        n = self._count  # round(sum / n) with ties going up, exact in integers
+        n = self._board.bit_count()  # round(sum / n), ties going up, exact in integers
         return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))

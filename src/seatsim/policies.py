@@ -58,7 +58,7 @@ def max_starts(aud: Auditorium, size: int) -> int:
     # Grow the occupants until no placement is clear of them; the last
     # non-empty set is the farthest. With nobody seated nothing grows.
     farthest = 0
-    if aud._count:
+    if aud._board:
         grown = aud._grow(aud._board)
         while beyond := aud._run_starts(grown, size):
             farthest, grown = beyond, aud._grow(grown)

@@ -7,7 +7,8 @@ spaces and tabs only; outside comments, any other whitespace character
 :class:`ParseError` at its column; a line holding only such characters is
 not blank. Blank lines are ignored and lines whose first character other
 than a space or tab is ``;`` are comments (``#`` marks an occupied seat,
-so it cannot introduce comments).
+so it cannot introduce comments). A number is ASCII digits with an
+optional sign.
 
 Scenario format::
 
@@ -44,7 +45,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, SeatCoord, board_cells, board_from_text
+from .grid import Auditorium, board_cells, board_from_text
 from .simulation import MeanTrajectory, Scenario
 
 
@@ -116,10 +117,12 @@ def _tokens(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
 
 
 def _parse_int(token: str, line: int, column: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, column, f"{what} must be an integer, got {token!r}") from None
+    if token.isascii() and "_" not in token:  # ``int`` also takes 1_0 and non-ASCII digits
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ParseError(line, column, f"{what} must be an integer, got {token!r}")
 
 
 def _int_field(item: tuple[int, str], keyword: str) -> int:
@@ -142,11 +145,12 @@ def _keyword(item: tuple[int, str], keyword: str) -> None:
         raise ParseError(line, 1, f"expected '{keyword}', got {text!r}")
 
 
-def _parse_coord(token: str, line: int, column: int) -> SeatCoord:
+def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
+    """The plain ``(row, seat)`` pair of a ``row,seat`` token; not yet a ``SeatCoord``."""
     row_part, comma, seat_part = token.partition(",")
     if not comma or not row_part or not seat_part:
         raise ParseError(line, column, f"expected 'row,seat', got {token!r}")
-    return SeatCoord(
+    return (
         _parse_int(row_part, line, column, "row"),
         _parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
     )
@@ -197,7 +201,7 @@ def parse_scenario(text: str) -> Scenario:
         line, text = cur.take("arrival sizes")
         arrivals = [_parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
 
-    observed: list[list[SeatCoord]] | None = None
+    observed: list[list[tuple[int, int]]] | None = None
     item = cur.peek()
     if item is not None and item[1].strip(" \t") == "observed":
         cur.take("'observed'")
@@ -233,13 +237,14 @@ def parse_scenario(text: str) -> Scenario:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Check a programmatically built Scenario; raises ValidationError."""
-    if scenario.rows < 1 or scenario.cols < 1:
-        raise ValidationError(
-            f"auditorium must be at least 1x1, got {scenario.rows}x{scenario.cols}"
-        )
+    rows, cols = scenario.rows, scenario.cols
+    if not isinstance(rows, int) or not isinstance(cols, int):
+        raise ValidationError(f"auditorium size must be integers, got {rows!r}x{cols!r}")
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
     for size in scenario.arrivals:
-        if size < 1:
-            raise ValidationError(f"group size must be positive, got {size}")
+        if not isinstance(size, int) or size < 1:
+            raise ValidationError(f"group size must be a positive integer, got {size!r}")
     observed = scenario.observed or ()
     if scenario.observed is not None and len(observed) != len(scenario.arrivals):
         raise ValidationError(
@@ -252,12 +257,14 @@ def validate_scenario(scenario: Scenario) -> None:
                 f"observed step {index} seats {len(seats)} people but the "
                 f"arriving group has size {size}"
             )
-    taken: set[SeatCoord] = set()
+    taken: set[tuple[int, int]] = set()
     seat_sets = [("initial", scenario.initial_occupancy)]
     seat_sets += [("observed", seats) for seats in observed]
     for kind, seats in seat_sets:
         for coord in seats:
-            if not (1 <= coord.row <= scenario.rows and 1 <= coord.seat <= scenario.cols):
+            if not isinstance(coord.row, int) or not isinstance(coord.seat, int):
+                raise ValidationError(f"{kind} seat {tuple(coord)} is not a pair of integers")
+            if not (1 <= coord.row <= rows and 1 <= coord.seat <= cols):
                 raise ValidationError(f"{kind} seat {tuple(coord)} out of bounds")
             if coord in taken:
                 raise ValidationError(f"{kind} seat {tuple(coord)} occupied twice")

@@ -13,7 +13,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -55,8 +55,8 @@ class Scenario:
     ``initial_occupancy`` seats are taken before step 1; ``arrivals[t-1]``
     is the size of the group arriving at step t; ``observed``, when
     present, records the real seats taken at each step (one seat set per
-    arrival, same group sizes). Seat tuples are normalized to row-major
-    order so equal scenarios compare equal.
+    arrival, same group sizes). Seats are wrapped as ``SeatCoord`` here and
+    put in row-major order, so equal scenarios compare equal. No hall is kept.
     """
 
     rows: int
@@ -64,25 +64,16 @@ class Scenario:
     initial_occupancy: tuple[SeatCoord, ...]
     arrivals: tuple[int, ...]
     observed: tuple[tuple[SeatCoord, ...], ...] | None = None
-    # (rows, cols, initial_occupancy) and the hall built from them.
-    _hall: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.initial_occupancy = tuple(
-            sorted(SeatCoord(*c) for c in self.initial_occupancy)
-        )
+        self.initial_occupancy = tuple(sorted(map(SeatCoord._make, self.initial_occupancy)))
         self.arrivals = tuple(self.arrivals)
         if self.observed is not None:
-            self.observed = tuple(
-                tuple(sorted(SeatCoord(*c) for c in step)) for step in self.observed
-            )
+            self.observed = tuple(tuple(sorted(map(SeatCoord._make, s))) for s in self.observed)
 
     def initial_auditorium(self) -> Auditorium:
-        """A fresh copy of the hall before step 1, built once per layout."""
-        key = (self.rows, self.cols, self.initial_occupancy)
-        if self._hall is None or self._hall[0] != key:
-            self._hall = (key, Auditorium(*key))
-        return self._hall[1].copy()
+        """The hall before step 1, built afresh on every call."""
+        return Auditorium(self.rows, self.cols, self.initial_occupancy)
 
 
 @dataclass
@@ -313,6 +304,7 @@ def run_many(
         raise ValueError(f"need at least one run, got {runs}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
+    starts_of(policy)  # an unknown policy raises before anything is forked
     cpus = _cpus()
     n = min(workers, runs, len(cpus)) if _can_fork() else 1
     cuts = [runs * i // n for i in range(n + 1)]

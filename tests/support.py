@@ -251,4 +251,11 @@ MALFORMED_SCENARIOS: list[tuple[str, str, str]] = [
     ("observed size mismatch", "rows 1\ncols 3\ngrid\n...\narrivals\n2\nobserved\n1: 1,1\n", "ValidationError"),
     ("observed steps missing", "rows 1\ncols 4\ngrid\n....\narrivals\n1 1\nobserved\n1: 1,1\n", "ValidationError"),
     ("observed seat repeated across steps", "rows 1\ncols 4\ngrid\n....\narrivals\n1 1\nobserved\n1: 1,1\n2: 1,1\n", "ValidationError"),
+    ("negative group size", "rows 1\ncols 3\ngrid\n...\narrivals\n-1\n", "ValidationError"),
+    # int() alone would read these as 3, 1, 1, 2 and 1
+    ("underscore in cols", "rows 1\ncols 0_3\ngrid\n...\narrivals\n", "ParseError"),
+    ("non-ASCII digit in rows", "rows \u0661\ncols 3\ngrid\n...\narrivals\n", "ParseError"),
+    ("underscore in arrival size", "rows 1\ncols 3\ngrid\n...\narrivals\n0_1\n", "ParseError"),
+    ("underscore in observed seat", "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1: 1,0_2\n", "ParseError"),
+    ("non-ASCII observed step", "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n\u0661: 1,2\n", "ParseError"),
 ]

@@ -19,6 +19,7 @@ from seatsim import (
 from seatsim.grid import board_cells
 from support import (
     center_of_mass_bf,
+    entropy_bf,
     feasible_placements_bf,
     min_distance_bf,
     mirror_placement,
@@ -515,7 +516,8 @@ _SLICE_EDGES = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
 class TestFromBoard:
     """A hall built from its board in closed form equals the hall built
-    seat by seat, in every kept-up-to-date sum."""
+    seat by seat with ``occupy``, in every kept-up-to-date sum, and those
+    sums match a count over the seats."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -527,10 +529,16 @@ class TestFromBoard:
     def test_matches_seat_by_seat(self, rows, cols, density, rng):
         cells = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)]
         seats = [cell for cell in cells if rng.random() < density]
-        reference = Auditorium(rows, cols, seats)
+        reference = Auditorium(rows, cols)  # kept up to date a seat at a time
+        for r, s in seats:
+            reference.occupy(Placement(r, s, 1))
         text_rows = reference.to_rows()
         board = sum(1 << (r - 1) * (cols + 1) + s - 1 for r, s in seats)
-        halls = [Auditorium._from_board(rows, cols, board), Auditorium.from_rows(text_rows)]
+        halls = [
+            Auditorium._from_board(rows, cols, board),
+            Auditorium.from_rows(text_rows),
+            Auditorium(rows, cols, seats),
+        ]
         empty = sorted(set(cells) - set(seats))
         if seats and empty:  # a choice record needs an occupant and a free seat
             chosen = "%d,%d" % empty[0]
@@ -538,8 +546,17 @@ class TestFromBoard:
             (record,) = parse_choices(text)
             assert record.configuration == Auditorium.from_rows(text_rows)
             halls.append(record.configuration)
-        for hall in halls:
+        for hall in [reference, *halls]:
             assert hall == reference
-            assert hall.occupied_count == reference.occupied_count
-            assert hall.center_of_mass() == reference.center_of_mass()
-            assert entropy(hall) == entropy(reference)
+            assert hall.occupied_count == len(seats)
+            assert hall.center_of_mass() == center_of_mass_bf(hall)
+            assert entropy(hall) == entropy_bf(hall)
+
+    def test_no_seats_means_no_recount(self, monkeypatch):
+        def recount(self, board):
+            raise AssertionError("recounted")
+
+        monkeypatch.setattr(Auditorium, "_set_board", recount)
+        aud = Auditorium(3, 4)
+        aud.occupy_seats([])
+        assert (aud.occupied_count, aud.center_of_mass(), entropy(aud)) == (0, None, 0)

@@ -113,6 +113,24 @@ class TestParseScenario:
         assert exc_info.value.line == 4
         assert exc_info.value.column == 2
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("rows 1_0\n", 1, 6, "rows must be an integer, got '1_0'"),
+            ("rows \u0661\n", 1, 6, "rows must be an integer, got '\u0661'"),
+            ("rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1: 1,2_0\n", 8, 6,
+             "seat must be an integer, got '2_0'"),
+        ],
+        ids=["underscore", "non-ascii", "seat"],
+    )
+    def test_integer_is_ascii_digits_with_a_sign(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(text)
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+        sc = parse_scenario("rows +1\ncols 3\ngrid\n...\narrivals\n+1 01\n")
+        assert (sc.rows, sc.arrivals) == (1, (1, 1))
+
     def test_grid_length_error_position(self):
         with pytest.raises(ParseError) as exc_info:
             parse_scenario("rows 1\ncols 3\ngrid\n....\narrivals\n")
@@ -166,6 +184,26 @@ class TestRoundTrip:
         )
         with pytest.raises(ValidationError):
             serialize_scenario(bad)
+
+
+class TestValidateTypes:
+    @pytest.mark.parametrize(
+        "scenario,message",
+        [
+            (Scenario(2, 3, (), (1.5,)), "group size must be a positive integer"),
+            (Scenario(2, 3, (), ("2",)), "group size must be a positive integer"),
+            (Scenario(2, 3, ((1.0, 1),), ()), "initial seat"),
+            (Scenario(2, 3, (), (1,), (((2, 1.0),),)), "observed seat"),
+            (Scenario("2", 3, (), ()), "auditorium size must be integers"),
+            (Scenario(2, 3.0, (), ()), "auditorium size must be integers"),
+        ],
+        ids=["float-size", "str-size", "float-initial-seat", "float-observed-seat",
+             "str-rows", "float-cols"],
+    )
+    def test_non_integers_are_rejected(self, scenario, message):
+        # Unchecked, each gives a TypeError, here or later in a run.
+        with pytest.raises(ValidationError, match=message):
+            validate_scenario(scenario)
 
 
 class TestShippedScenario:
@@ -258,6 +296,9 @@ class TestParseChoices:
             "groups 1\ngrid\n#..\n#.\nchosen 1,2\n",  # ragged grid
             "groups 1\ngrid\n#?.\nchosen 1,2\n",  # bad character
             "groups 1\ngrid\n#..\nchosen 1;2\n",  # bad coordinate
+            "groups 1_0\ngrid\n#..\nchosen 1,2\n",  # int() would read 10
+            "groups 1\ngrid\n#..\nchosen 1,0_2\n",  # int() would read 2
+            "groups 1\ngrid\n#..\nchosen \u0661,2\n",  # int() would read 1
         ],
     )
     def test_malformed_records(self, text):

@@ -386,6 +386,12 @@ class TestShards:
         assert len(forks) <= min(cpus - 1, 3 - 1)
         assert_no_child_left()
 
+    def test_unknown_policy_forks_nothing(self, two_shards):
+        with pytest.raises(ValueError, match="unknown policy 'nope'"):
+            run_many(small_scenario(), "nope", 9, 4, workers=2)
+        assert two_shards == []
+        assert_no_child_left()
+
     def test_no_fork_means_one_shard(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         sc = small_scenario()
