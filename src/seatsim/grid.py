@@ -126,7 +126,8 @@ class Auditorium:
         self.rows, self.cols, self._width = rows, cols, cols + 1
         self._valid = _seat_bits(rows, cols + 1)
         self._board = self._row_sum = self._seat_sum = self._entropy = 0
-        self.occupy_seats(occupied)
+        if occupied:  # ``_from_board`` builds an empty hall for every choice record
+            self.occupy_seats(occupied)
 
     @classmethod
     def _from_board(cls, rows: int, cols: int, board: int) -> Auditorium:
@@ -242,14 +243,27 @@ class Auditorium:
         """Occupy arbitrary seats in order; the first one off the hall, or taken
         by an occupant or an earlier seat of ``coords``, raises and changes nothing."""
         board, width = self._board, self._width
+        row_sum = seat_sum = 0
+        rows = set()
         for row, seat in coords:
             self._check_bounds(row, seat)
             bit = 1 << (row - 1) * width + seat - 1
             if board & bit:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
             board |= bit
-        if board != self._board:
-            self._set_board(board)
+            row_sum += row
+            seat_sum += seat
+            rows.add(row)
+        # Only the rows the seats touch change: each moves the score by new flips² - old flips².
+        old, inner, score = self._board, (1 << self.cols - 1) - 1, self._entropy  # as in ``_flips``
+        new_flips, old_flips = board ^ board >> 1, old ^ old >> 1
+        for row in rows:
+            shift = (row - 1) * width
+            score += (new_flips >> shift & inner).bit_count() ** 2
+            score -= (old_flips >> shift & inner).bit_count() ** 2
+        self._board, self._row_sum, self._seat_sum, self._entropy = (
+            board, self._row_sum + row_sum, self._seat_sum + seat_sum, score
+        )
 
     def _run_starts(self, blocked: int, size: int) -> int:
         # The seats that start ``size`` seats clear of ``blocked``.
@@ -274,14 +288,25 @@ class Auditorium:
         """The placement of the n-th set bit of ``starts``, counting from 0
         in row-major order."""
         above = starts.bit_count() - n  # set bits from the n-th one up
-        # Bisect for the highest bit with that many set bits from it up.
-        low, high = 0, starts.bit_length()
-        while high - low > 1:
-            mid = (low + high) // 2
-            if (starts >> mid).bit_count() >= above:
-                low = mid
-            else:
-                high = mid
+        # Within the bisect's own step count of either end, walk from that end.
+        steps = starts.bit_length().bit_length()
+        if n < steps:
+            for _ in range(n):
+                starts &= starts - 1  # clear the lowest set bit
+            low = (starts & -starts).bit_length() - 1
+        elif above <= steps:
+            for _ in range(above - 1):
+                starts ^= 1 << starts.bit_length() - 1  # clear the highest
+            low = starts.bit_length() - 1
+        else:
+            # Bisect for the highest bit with that many set bits from it up.
+            low, high = 0, starts.bit_length()
+            while high - low > 1:
+                mid = (low + high) // 2
+                if (starts >> mid).bit_count() >= above:
+                    low = mid
+                else:
+                    high = mid
         row, seat = divmod(low, self._width)
         return Placement(row + 1, seat + 1, size)
 

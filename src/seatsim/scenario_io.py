@@ -262,12 +262,17 @@ def validate_scenario(scenario: Scenario) -> None:
     seat_sets += [("observed", seats) for seats in observed]
     for kind, seats in seat_sets:
         for coord in seats:
-            if not isinstance(coord.row, int) or not isinstance(coord.seat, int):
-                raise ValidationError(f"{kind} seat {tuple(coord)} is not a pair of integers")
-            if not (1 <= coord.row <= rows and 1 <= coord.seat <= cols):
-                raise ValidationError(f"{kind} seat {tuple(coord)} out of bounds")
+            try:
+                row, seat = coord
+            except (TypeError, ValueError):  # ``Scenario`` keeps seats it cannot wrap as given
+                raise ValidationError(f"{kind} seat {coord!r} is not a pair of integers") from None
+            coord = row, seat
+            if not isinstance(row, int) or not isinstance(seat, int):
+                raise ValidationError(f"{kind} seat {coord} is not a pair of integers")
+            if not (1 <= row <= rows and 1 <= seat <= cols):
+                raise ValidationError(f"{kind} seat {coord} out of bounds")
             if coord in taken:
-                raise ValidationError(f"{kind} seat {tuple(coord)} occupied twice")
+                raise ValidationError(f"{kind} seat {coord} occupied twice")
             taken.add(coord)
 
 

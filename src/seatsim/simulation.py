@@ -14,7 +14,8 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 from .entropy import entropy
@@ -48,6 +49,15 @@ def derive_seed(master_seed: int, index: int) -> int:
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ (index & _MASK64))
 
 
+def _row_major(seats):
+    """``seats`` as ``SeatCoord``s in row-major order; seats that are not
+    pairs, or do not compare, are kept as given for ``validate_scenario``."""
+    try:
+        return tuple(sorted(map(SeatCoord._make, seats)))
+    except TypeError:
+        return seats
+
+
 @dataclass
 class Scenario:
     """Complete simulation input.
@@ -56,7 +66,8 @@ class Scenario:
     is the size of the group arriving at step t; ``observed``, when
     present, records the real seats taken at each step (one seat set per
     arrival, same group sizes). Seats are wrapped as ``SeatCoord`` here and
-    put in row-major order, so equal scenarios compare equal. No hall is kept.
+    put in row-major order, so equal scenarios compare equal; malformed ones
+    are left for ``validate_scenario``. No hall is kept.
     """
 
     rows: int
@@ -66,10 +77,10 @@ class Scenario:
     observed: tuple[tuple[SeatCoord, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        self.initial_occupancy = tuple(sorted(map(SeatCoord._make, self.initial_occupancy)))
+        self.initial_occupancy = _row_major(self.initial_occupancy)
         self.arrivals = tuple(self.arrivals)
         if self.observed is not None:
-            self.observed = tuple(tuple(sorted(map(SeatCoord._make, s))) for s in self.observed)
+            self.observed = tuple(map(_row_major, self.observed))
 
     def initial_auditorium(self) -> Auditorium:
         """The hall before step 1, built afresh on every call."""
@@ -329,7 +340,8 @@ def run_many(
     for column in zip(*trajectories):
         m = sum(column) / runs
         mean.append(m)
-        std.append(math.sqrt(sum((x - m) ** 2 for x in column) / runs))
+        # Left to right, as ``sum`` added floats before 3.12 compensated them.
+        std.append(math.sqrt(reduce(add, [(x - m) ** 2 for x in column], 0.0) / runs))
         low.append(min(column))
         high.append(max(column))
     return MeanTrajectory(mean=mean, std=std, min=low, max=high, run_count=runs)

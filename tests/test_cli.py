@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from seatsim import simulation
+from seatsim import cli, simulation
 from seatsim.cli import main
 
 SCENARIO = (
@@ -280,3 +284,40 @@ class TestErrorPaths:
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "entropy")
         assert code == 2
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch, tmp_path, scenario_file):
+        # The parser is built on the first call and kept, a usage error
+        # included; each call prints what a fresh process prints.
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        calls = [
+            ["simulate", "--scenario", str(scenario_file), "--policy", "all", "--runs", "7",
+             "--out", str(tmp_path / "{}.csv")],
+            ["simulate", "--scenario", str(scenario_file), "--policy", "nope"],
+            ["replay", "--scenario", str(scenario_file)],
+            ["entropy"],
+            ["simulate", "--scenario", str(scenario_file), "--policy", "center", "--runs", "4",
+             "--seed", "3"],
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+        codes = []
+        for argv in calls:
+            here = [a.format("here") for a in argv]
+            fresh = [a.format("fresh") for a in argv]
+            code = main(here)
+            out, err = capsys.readouterr()
+            done = subprocess.run(
+                [sys.executable, "-m", "seatsim.cli", *fresh],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert (code, out, err) == (done.returncode, done.stdout, done.stderr)
+            codes.append(code)
+            if "--out" in argv:
+                assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert codes == [0, 2, 0, 2, 0]
+        assert built == [1]

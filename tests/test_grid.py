@@ -388,6 +388,28 @@ class TestDraw:
                 assert draw.stops == [len(expected)]
 
 
+class TestNth:
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [(1, 1), (1, 2), (1, 7), (1, 31), (1, 63), (1, 64), (7, 14), (20, 40)],
+    )
+    def test_every_index_decodes_the_listed_start(self, rows, cols):
+        # Each n takes the walk from the bottom, the walk from the top or the
+        # bisect, whichever the set's size and bit length choose.
+        rng = random.Random(rows * 100 + cols)
+        hall = Auditorium(rows, cols)
+        for _ in range(60):
+            density = rng.choice([0.02, 0.1, 0.5, 1.0])
+            starts = sum(1 << bit for bit in range(hall._valid.bit_length()) if rng.random() < density)
+            starts &= hall._valid
+            if not starts:
+                starts = 1 << rng.randrange(cols)
+            cells = list(board_cells(starts, cols))
+            size = rng.randint(1, 3)
+            for n, (row, seat) in enumerate(cells):
+                assert hall._nth(starts, n, size) == Placement(row, seat, size)
+
+
 class TestOccupy:
     def test_direct_effect(self):
         aud = Auditorium(7, 14)
@@ -473,6 +495,25 @@ class TestOccupy:
         for bad in [(0, 1), (1, 0), (3, 1), (1, 3)]:
             with pytest.raises(ValueError):
                 aud.occupy_seats([bad])
+
+    def test_occupy_seats_is_all_or_nothing(self):
+        # A failing seat set leaves the board and its sums as they were; a
+        # good one moves them to what a recount gives.
+        rng = random.Random(23)
+        for _ in range(200):
+            aud = random_auditorium(rng, max_rows=20, max_cols=40, max_density=0.4)
+            before = aud.copy()
+            cells = [(r, s) for r in range(1, aud.rows + 1) for s in range(1, aud.cols + 1)]
+            seats = rng.sample(cells, rng.randint(1, min(6, len(cells))))
+            seats.insert(rng.randrange(len(seats) + 1), rng.choice(cells + [(0, 1), (1, aud.cols + 1)]))
+            try:
+                aud.occupy_seats(seats)
+            except (SeatConflict, ValueError):
+                assert aud == before
+                assert (aud.center_of_mass(), entropy(aud)) == (before.center_of_mass(), entropy(before))
+                continue
+            assert aud.occupied_count == before.occupied_count + len(seats)
+            assert (aud.center_of_mass(), entropy(aud)) == (center_of_mass_bf(aud), entropy_bf(aud))
 
 
 class TestConstruction:

@@ -196,9 +196,12 @@ class TestValidateTypes:
             (Scenario(2, 3, (), (1,), (((2, 1.0),),)), "observed seat"),
             (Scenario("2", 3, (), ()), "auditorium size must be integers"),
             (Scenario(2, 3.0, (), ()), "auditorium size must be integers"),
+            # Seats that cannot be sorted or wrapped reach the validator as given.
+            (Scenario(2, 3, ((1, 1), ("1", 2)), ()), r"initial seat \('1', 2\) is not a pair"),
+            (Scenario(2, 3, ((1, 1, 1),), ()), r"initial seat \(1, 1, 1\) is not a pair"),
         ],
         ids=["float-size", "str-size", "float-initial-seat", "float-observed-seat",
-             "str-rows", "float-cols"],
+             "str-rows", "float-cols", "str-initial-seat", "triple-initial-seat"],
     )
     def test_non_integers_are_rejected(self, scenario, message):
         # Unchecked, each gives a TypeError, here or later in a run.

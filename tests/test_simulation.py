@@ -23,7 +23,14 @@ from seatsim import (
     run_once,
 )
 from seatsim import parse_scenario, policies
-from support import exact_mean_trajectory, mirrored, occupied_cells, run_once_bf
+from support import (
+    center_of_mass_bf,
+    entropy_bf,
+    exact_mean_trajectory,
+    mirrored,
+    occupied_cells,
+    run_once_bf,
+)
 from test_golden import wide_hall_scenario
 
 
@@ -628,6 +635,29 @@ class TestReplayObserved:
             observed=(((1, 1), (1, 2)), ((2, 4),)),
         )
         assert replay_observed(sc) == [0, 1, 2]
+
+    def test_every_step_matches_brute_force_on_wide_halls(self):
+        # Each step rescores only the rows its seats touch; a recount of the
+        # whole hall must agree after every one of them.
+        rng = random.Random(40)
+        cells = [(r, s) for r in range(1, 21) for s in range(1, 41)]
+        for _ in range(6):
+            order = rng.sample(cells, len(cells))
+            initial, order = order[: rng.randint(0, 120)], order[120:]
+            sizes = [rng.randint(1, 4) for _ in range(30)]
+            observed = []
+            for size in sizes:
+                observed.append(order[:size])
+                del order[:size]
+            sc = Scenario(20, 40, tuple(initial), tuple(sizes), tuple(observed))
+            aud = sc.initial_auditorium()
+            expected = [entropy_bf(aud)]
+            assert aud.center_of_mass() == center_of_mass_bf(aud)
+            for seats in sc.observed:
+                aud.occupy_seats(seats)
+                expected.append(entropy_bf(aud))
+                assert aud.center_of_mass() == center_of_mass_bf(aud)
+            assert replay_observed(sc) == expected
 
 
 class TestMirrorMetamorphic:
