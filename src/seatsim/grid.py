@@ -20,6 +20,15 @@ int to the one shared draw, ``Auditorium._draw``.
 A grid block's text is the board (:func:`board_from_text`): its rows of
 ``.``/``#`` joined by LF, reversed and read in binary with ``.``, ``#`` and LF
 as 0, 1 and 0, put each LF on the guard bit of the row before it.
+
+A :class:`LaneStack` packs halls of one size into one int, a lane per hall:
+its rows and one padding row, rounded up to whole bytes so that one
+``to_bytes``/``from_bytes`` splits or packs every lane. Growth ``<< W`` from
+a lane's last row lands in its padding, ``>> W`` from its first row in the
+padding below, and masking by the seats drops both, so ``_grow`` and
+``_run_starts`` serve every lane at once. A lane's top bit is never a seat,
+so ``(x + fill) & tops`` (``fill`` all ones below each top bit) marks the
+lanes where ``x`` is non-empty, and ``marks - (marks >> top)`` widens them.
 """
 
 from __future__ import annotations
@@ -99,6 +108,30 @@ def _bit_slice(k: int, cols: int) -> int:
     return runs << run - 1 & (1 << cols) - 1
 
 
+def _nth_bit(starts: int, n: int) -> int:
+    """The index of the n-th set bit of ``starts``, counting from 0 up."""
+    above = starts.bit_count() - n  # set bits from the n-th one up
+    # Within the bisect's own step count of either end, walk from that end.
+    steps = starts.bit_length().bit_length()
+    if n < steps:
+        for _ in range(n):
+            starts &= starts - 1  # clear the lowest set bit
+        return (starts & -starts).bit_length() - 1
+    if above <= steps:
+        for _ in range(above - 1):
+            starts ^= 1 << starts.bit_length() - 1  # clear the highest
+        return starts.bit_length() - 1
+    # Bisect for the highest bit with that many set bits from it up.
+    low, high = 0, starts.bit_length()
+    while high - low > 1:
+        mid = (low + high) // 2
+        if (starts >> mid).bit_count() >= above:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 _GRID_CHARS = str.maketrans("01", ".#")
 
 
@@ -169,11 +202,9 @@ class Auditorium:
 
     def copy(self) -> Auditorium:
         dup = object.__new__(Auditorium)
-        # Field by field, in ``__init__``'s order, and without ``vars()``: on
-        # CPython 3.11 a hall whose ``__dict__`` was read or filled as a dict
-        # reads every attribute more slowly. 100-run fig1 batches lost about
-        # 9% to ``dup.__dict__.update``, and a few percent to ``vars(self)``
-        # once simulations copied the halls their runs share.
+        # Field by field, in ``__init__``'s order, and without ``vars()``: on CPython
+        # 3.11 a hall whose ``__dict__`` was read or filled as a dict reads every
+        # attribute more slowly (about 9% of a 100-run fig1 batch).
         dup.rows, dup.cols, dup._width, dup._valid = self.rows, self.cols, self._width, self._valid
         dup._board, dup._row_sum = self._board, self._row_sum
         dup._seat_sum, dup._entropy = self._seat_sum, self._entropy
@@ -227,17 +258,23 @@ class Auditorium:
         # A run from a seat of the hall is free and inside it unless it
         # meets an occupant, a guard or the bits past the last row.
         if row > 0 and 0 < start <= self.cols:
-            run = ((1 << size) - 1) << start - 1
-            if not run << (row - 1) * self._width & (self._board | ~self._valid):
-                # Only this row's flips change: the score moves by new flips² - old flips².
-                old = self._row(row)
-                self._board |= run << (row - 1) * self._width
-                self._row_sum += row * size
-                self._seat_sum += size * start + size * (size - 1) // 2
-                self._entropy += _flips(old | run, self.cols) ** 2 - _flips(old, self.cols) ** 2
+            low = (row - 1) * self._width + start - 1
+            if not ((1 << size) - 1) << low & (self._board | ~self._valid):
+                self._take(low, size)
                 return
         # Some seat is taken or off the hall: seated one by one, the first such seat raises.
         self.occupy_seats((row, seat) for seat in range(start, start + size))
+
+    def _take(self, low: int, size: int) -> None:
+        # Seat the free run of ``size`` from bit ``low``, unchecked; only its row's flips change.
+        row, seat = divmod(low, self._width)
+        old = self._board >> low - seat & (1 << self.cols) - 1
+        self._board |= ((1 << size) - 1) << low
+        self._row_sum += (row + 1) * size
+        self._seat_sum += size * (seat + 1) + size * (size - 1) // 2
+        new, inner = old | ((1 << size) - 1) << seat, (1 << self.cols - 1) - 1  # as in ``_flips``
+        self._entropy += (((new ^ new >> 1) & inner).bit_count() ** 2
+                          - ((old ^ old >> 1) & inner).bit_count() ** 2)
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats in order; the first one off the hall, or taken
@@ -282,37 +319,29 @@ class Auditorium:
         """The n-th placement of the start set ``starts`` in row-major order,
         ``n = rng.randrange(popcount)``: the same draw as indexing the
         listed placements. ``starts`` must be non-empty."""
-        return self._nth(starts, rng.randrange(starts.bit_count()), size)
+        row, seat = divmod(_nth_bit(starts, rng.randrange(starts.bit_count())), self._width)
+        return Placement(row + 1, seat + 1, size)
 
     def _nth(self, starts: int, n: int, size: int) -> Placement:
         """The placement of the n-th set bit of ``starts``, counting from 0
         in row-major order."""
-        above = starts.bit_count() - n  # set bits from the n-th one up
-        # Within the bisect's own step count of either end, walk from that end.
-        steps = starts.bit_length().bit_length()
-        if n < steps:
-            for _ in range(n):
-                starts &= starts - 1  # clear the lowest set bit
-            low = (starts & -starts).bit_length() - 1
-        elif above <= steps:
-            for _ in range(above - 1):
-                starts ^= 1 << starts.bit_length() - 1  # clear the highest
-            low = starts.bit_length() - 1
-        else:
-            # Bisect for the highest bit with that many set bits from it up.
-            low, high = 0, starts.bit_length()
-            while high - low > 1:
-                mid = (low + high) // 2
-                if (starts >> mid).bit_count() >= above:
-                    low = mid
-                else:
-                    high = mid
-        row, seat = divmod(low, self._width)
+        row, seat = divmod(_nth_bit(starts, n), self._width)
         return Placement(row + 1, seat + 1, size)
 
-    def _closest(self, starts: int, size: int, point: SeatCoord) -> int:
-        """The starts of ``starts`` whose ``size``-seat run is nearest to
-        ``point``, by Manhattan distance from the nearest member seat.
+    def _or(self, x: int, y: int) -> int:
+        return x or y  # a ``LaneStack`` answers this and ``_covers`` per lane
+
+    def _covers(self, x: int) -> bool:
+        return bool(x)
+
+    def _covering(self, point: tuple[int, int], size: int) -> int:
+        # The starts whose ``size``-seat run covers the seat ``point``.
+        row, seat = point
+        return ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
+
+    def _closest(self, starts: int, size: int, point: SeatCoord | None = None) -> int:
+        """The starts of ``starts`` whose ``size``-seat run is nearest, by
+        Manhattan distance from a member seat, to ``point`` or the center of mass.
 
         The starts whose run covers the point's seat are at distance 0, and
         grown by d Manhattan steps they are the starts within d; so grow
@@ -320,8 +349,7 @@ class Auditorium:
         """
         if not starts:
             return 0
-        row, seat = point
-        ball = ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
+        ball = self._covering(point or self.center_of_mass(), size)
         while not ball & starts:
             ball = _dilate(ball, self._width, self._valid)
         return ball & starts
@@ -364,3 +392,52 @@ class Auditorium:
             return None
         n = self._board.bit_count()  # round(sum / n), ties going up, exact in integers
         return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))
+
+
+class LaneStack(Auditorium):
+    """Copies of one hall (``halls``) as the lanes of ``_board``, on which a
+    rule's start-set function gives each hall's start set in its lane: it
+    inherits ``_grow`` and ``_run_starts`` and answers ``_or``, ``_covers`` and
+    ``_closest`` per lane; no other method applies. Every hall has seated as
+    many people, so an empty ``_board``, or no center of mass, is every lane's."""
+
+    def __init__(self, hall: Auditorium, lanes: int):
+        self.rows, self.cols, self._width = hall.rows, hall.cols, hall._width
+        self.halls = [hall.copy() for _ in range(lanes)]
+        self._bytes = ((hall.rows + 1) * hall._width + 7) // 8
+        self._top = top = 8 * self._bytes - 1
+        ones = ((1 << (top + 1) * lanes) - 1) // ((1 << top + 1) - 1)  # bit 0 of each lane
+        self._valid, self._board = hall._valid * ones, hall._board * ones
+        self._tops, self._fill = ones << top, (ones << top) - ones
+
+    def take(self, starts: int, size: int, rngs: Sequence[random.Random]) -> None:
+        """Seat ``size`` people in each hall, on a start its rng draws from its lane."""
+        step, data = self._bytes, starts.to_bytes(self._bytes * len(self.halls), "little")
+        for i, hall, rng in zip(range(0, len(data), step), self.halls, rngs):
+            lane = int.from_bytes(data[i:i + step], "little")
+            hall._take(_nth_bit(lane, rng.randrange(lane.bit_count())), size)
+        self._board = self._pack([hall._board for hall in self.halls])
+
+    def _pack(self, lanes: list[int]) -> int:
+        step = self._bytes
+        return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in lanes]), "little")
+
+    def _lanes(self, x: int) -> int:
+        # Every bit below the top of each lane where ``x`` is non-empty.
+        marks = (x + self._fill) & self._tops
+        return marks - (marks >> self._top)
+
+    def _or(self, x: int, y: int) -> int:
+        return x | y & ~self._lanes(x)
+
+    def _covers(self, x: int) -> bool:
+        return (x + self._fill) & self._tops == self._tops
+
+    def _closest(self, starts: int, size: int) -> int:
+        # Each lane's ball grows from its hall's center of mass until it meets its starts.
+        ball = self._pack([h._covering(h.center_of_mass(), size) for h in self.halls])
+        found, ball = 0, ball & self._lanes(starts)
+        while ball:
+            found |= ball & starts
+            ball = _dilate(ball & ~self._lanes(found), self._width, self._valid)
+        return found

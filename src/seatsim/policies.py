@@ -12,12 +12,14 @@ and so on, looked up by :func:`starts_of`): one int with a bit per start
 seat, the fall-back to every feasible spot included, or
 :class:`NoFeasiblePlacement` when there is none. That int is handed to the
 one shared draw, ``Auditorium._draw``, and ``select_*`` is the function
-plus the draw; a simulation computes it once per distinct board and draws
-per run. The occupants grown d steps (``Auditorium._grow``) block every
-seat within d of someone seated, and ``Auditorium._run_starts`` of that
-gives the placements farther than d from every occupant. A rule scans only
-the distances it reads, and scans the bare free set (d = 0,
-:func:`random_starts`) only when its own set is empty.
+plus the draw. A simulation runs it once per step on a ``LaneStack`` of its
+runs' halls, so a rule tests and merges sets per lane (``aud._covers(x)``,
+``aud._or(x, y)``; on one hall ``bool(x)`` and ``x or y``). The occupants
+grown d steps (``Auditorium._grow``) block every seat within d of someone
+seated, and ``Auditorium._run_starts`` of that gives the placements farther
+than d from every occupant. A rule scans only the distances it reads, and
+the bare free set (d = 0, :func:`random_starts`) only if its own set is
+empty in some lane, where ``aud._or`` puts it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def random_starts(aud: Auditorium, size: int) -> int:
     """Uniform choice over every feasible placement; the other rules fall
     back to it when their own set is empty."""
     starts = aud._run_starts(aud._board, size)
-    if not starts:
+    if not aud._covers(starts):
         raise NoFeasiblePlacement(f"no room anywhere for a group of {size}")
     return starts
 
@@ -56,13 +58,13 @@ def max_starts(aud: Auditorium, size: int) -> int:
     seats. In an empty auditorium every placement ties at infinity.
     """
     # Grow the occupants until no placement is clear of them; the last
-    # non-empty set is the farthest. With nobody seated nothing grows.
+    # non-empty set of each lane is its farthest. With nobody seated nothing grows.
     farthest = 0
     if aud._board:
         grown = aud._grow(aud._board)
         while beyond := aud._run_starts(grown, size):
-            farthest, grown = beyond, aud._grow(grown)
-    return farthest or random_starts(aud, size)
+            farthest, grown = aud._or(beyond, farthest), aud._grow(grown)
+    return farthest if aud._covers(farthest) else aud._or(farthest, random_starts(aud, size))
 
 
 def space_starts(aud: Auditorium, size: int) -> int:
@@ -80,7 +82,8 @@ def space_starts(aud: Auditorium, size: int) -> int:
     near = aud._grow(aud._board)
     beyond1 = aud._run_starts(near, size)
     beyond4 = aud._run_starts(aud._grow(aud._grow(aud._grow(near))), size)
-    return (beyond1 & ~beyond4) or random_starts(aud, size)
+    banded = beyond1 & ~beyond4
+    return banded if aud._covers(banded) else aud._or(banded, random_starts(aud, size))
 
 
 def simple_starts(aud: Auditorium, size: int) -> int:
@@ -90,7 +93,7 @@ def simple_starts(aud: Auditorium, size: int) -> int:
     spot keeps that much room.
     """
     roomy = aud._run_starts(aud._grow(aud._grow(aud._board)), size)
-    return roomy or random_starts(aud, size)
+    return roomy if aud._covers(roomy) else aud._or(roomy, random_starts(aud, size))
 
 
 def center_starts(aud: Auditorium, size: int) -> int:
@@ -107,9 +110,9 @@ def center_starts(aud: Auditorium, size: int) -> int:
     (:meth:`Auditorium._closest`).
     """
     candidates = aud._run_starts(aud._grow(aud._board), size)
-    if candidates and (center := aud.center_of_mass()) is not None:
-        candidates = aud._closest(candidates, size, center)
-    return candidates or random_starts(aud, size)
+    if aud._board:
+        candidates = aud._closest(candidates, size)
+    return candidates if aud._covers(candidates) else aud._or(candidates, random_starts(aud, size))
 
 
 def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
@@ -168,4 +171,5 @@ def select_placement(
     policy: str, aud: Auditorium, size: int, rng: RandomSource
 ) -> Placement:
     """Dispatch to the named rule; ``policy`` is one of POLICY_NAMES."""
-    return aud._draw(starts_of(policy)(aud, size), size, rng)
+    starts = _STARTS.get(policy) or starts_of(policy)  # ``starts_of`` raises
+    return aud._draw(starts(aud, size), size, rng)

@@ -235,6 +235,14 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _sized(values, *what: object) -> int:
+    try:
+        return len(values)
+    except TypeError:  # ``Scenario`` keeps what it cannot iterate as given
+        name = " ".join(map(str, what))
+        raise ValidationError(f"{name} must be a sequence, got {values!r}") from None
+
+
 def validate_scenario(scenario: Scenario) -> None:
     """Check a programmatically built Scenario; raises ValidationError."""
     rows, cols = scenario.rows, scenario.cols
@@ -242,17 +250,20 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ValidationError(f"auditorium size must be integers, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
+    observed = () if scenario.observed is None else scenario.observed
+    for what, values in (("initial occupancy", scenario.initial_occupancy),
+                         ("arrivals", scenario.arrivals), ("observed", observed)):
+        _sized(values, what)
     for size in scenario.arrivals:
         if not isinstance(size, int) or size < 1:
             raise ValidationError(f"group size must be a positive integer, got {size!r}")
-    observed = scenario.observed or ()
     if scenario.observed is not None and len(observed) != len(scenario.arrivals):
         raise ValidationError(
             f"observed covers {len(observed)} steps but arrivals lists "
             f"{len(scenario.arrivals)} groups"
         )
     for index, (seats, size) in enumerate(zip(observed, scenario.arrivals), start=1):
-        if len(seats) != size:
+        if _sized(seats, "observed step", index) != size:
             raise ValidationError(
                 f"observed step {index} seats {len(seats)} people but the "
                 f"arriving group has size {size}"

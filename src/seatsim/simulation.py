@@ -13,13 +13,13 @@ import math
 import os
 import random
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import add
-from typing import Callable
 
 from .entropy import entropy
-from .grid import Auditorium, SeatCoord
+from .grid import Auditorium, LaneStack, SeatCoord
 from .policies import NoFeasiblePlacement, select_placement, starts_of
 
 _MASK64 = (1 << 64) - 1
@@ -78,9 +78,10 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.initial_occupancy = _row_major(self.initial_occupancy)
-        self.arrivals = tuple(self.arrivals)
-        if self.observed is not None:
-            self.observed = tuple(map(_row_major, self.observed))
+        with suppress(TypeError):  # what is not iterable is left for ``validate_scenario``
+            self.arrivals = tuple(self.arrivals)
+            if self.observed is not None:
+                self.observed = tuple(map(_row_major, self.observed))
 
     def initial_auditorium(self) -> Auditorium:
         """The hall before step 1, built afresh on every call."""
@@ -103,26 +104,13 @@ class MeanTrajectory:
     run_count: int
 
 
-#: A shard's runs advance together, one rule set per distinct board, while a
-#: step's distinct boards are fewer than this share of the runs (rounded
-#: down, so a shard of three runs or fewer never shares); from the first
-#: step that reaches it, sharing saves too little and each run goes alone.
-SHARE_BELOW = 0.5
-
-
 def run_once(scenario: Scenario, policy: str, seed: int) -> Trajectory:
     """Simulate one arrival sequence under ``policy`` with a fixed seed."""
     starts_of(policy)  # an unknown policy raises even with no arrivals
     aud = scenario.initial_auditorium()
-    return _finish(scenario, policy, aud, random.Random(seed), [entropy(aud)])
-
-
-def _finish(
-    scenario: Scenario, policy: str, aud: Auditorium, rng: random.Random, trajectory: Trajectory
-) -> Trajectory:
-    """Play the steps after the last one ``trajectory`` holds, in place on ``aud``."""
-    done = len(trajectory) - 1
-    for step, size in enumerate(scenario.arrivals[done:], start=done + 1):
+    rng = random.Random(seed)
+    trajectory = [entropy(aud)]
+    for step, size in enumerate(scenario.arrivals, start=1):
         try:
             placement = select_placement(policy, aud, size, rng)
         except NoFeasiblePlacement as exc:
@@ -134,87 +122,37 @@ def _finish(
     return trajectory
 
 
-def _shared(boards: int, runs: int) -> bool:
-    return boards < int(SHARE_BELOW * runs)
-
-
 def _run_range(
     scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int
 ) -> list[Trajectory]:
     """Trajectories of runs ``lo .. hi-1``; a failure names the lowest failing
     run, as playing the runs one by one would.
 
-    The runs advance one step at a time while their boards repeat
-    (:func:`_share_steps`), then each finishes in place as :func:`run_once`
-    would play it. A shard too small to share its first step plays
-    :func:`run_once` itself.
+    More than three runs step together as the lanes of one ``LaneStack``, one
+    rule start set per step, each run drawing from its lane with its own rng.
+    Fewer runs, or runs where one finds no room, play ``run_once`` one by one.
     """
     starts = starts_of(policy)
-    if _shared(1, hi - lo):
-        hall = scenario.initial_auditorium()
-        rngs = [random.Random(derive_seed(master_seed, run)) for run in range(lo, hi)]
-        halls = [hall] * len(rngs)
-        trajectories = [[entropy(hall)] for _ in rngs]
-        _share_steps(scenario.arrivals, starts, halls, rngs, trajectories)
-        plays = [
-            partial(_finish, scenario, policy, hall.copy(), rng, trajectory)
-            for hall, rng, trajectory in zip(halls, rngs, trajectories)
-        ]
-    else:
-        plays = [
-            partial(run_once, scenario, policy, derive_seed(master_seed, run))
-            for run in range(lo, hi)
-        ]
-    trajectories = []
-    for run, play in enumerate(plays, start=lo):
+    seeds = [derive_seed(master_seed, run) for run in range(lo, hi)]
+    if len(seeds) > 3:
+        lanes = LaneStack(scenario.initial_auditorium(), len(seeds))
+        rngs = [random.Random(seed) for seed in seeds]
+        trajectories = [[entropy(hall)] for hall in lanes.halls]
         try:
-            trajectories.append(play())
+            for size in scenario.arrivals:
+                lanes.take(starts(lanes, size), size, rngs)
+                for trajectory, hall in zip(trajectories, lanes.halls):
+                    trajectory.append(entropy(hall))
+            return trajectories
+        except NoFeasiblePlacement:
+            pass  # replayed run by run below
+    trajectories = []
+    for run, seed in enumerate(seeds, start=lo):
+        try:
+            trajectories.append(run_once(scenario, policy, seed))
         except NoFeasiblePlacement as exc:
             raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
     return trajectories
-
-
-def _share_steps(
-    arrivals: tuple[int, ...],
-    starts: Callable[[Auditorium, int], int],
-    halls: list[Auditorium],
-    rngs: list[random.Random],
-    trajectories: list[Trajectory],
-) -> None:
-    """Advance the runs, whose halls, rngs and trajectories the lists hold in
-    run order, one step at a time while the step is ``_shared``.
-
-    The rule's start set is computed once per distinct board and each run
-    draws from it with its own rng, as ``Auditorium._draw`` does; the child
-    hall of each distinct draw is built once and may serve several runs, so
-    no listed hall is ever changed. At a board with no room, every run
-    above the board's lowest one is dropped; that one fails again when
-    played on its own, unless a lower run fails first.
-    """
-    for size in arrivals:
-        groups: dict[int, list[int]] = {}
-        for i, hall in enumerate(halls):
-            groups.setdefault(hall._board, []).append(i)
-        if not _shared(len(groups), len(halls)):
-            return
-        for members in groups.values():
-            parent = halls[members[0]]
-            try:
-                choices = starts(parent, size)
-            except NoFeasiblePlacement:
-                keep = members[0] + 1
-                del halls[keep:], rngs[keep:], trajectories[keep:]
-                return
-            # n = randrange(popcount), then the n-th start, decoded once per n.
-            total, children = choices.bit_count(), {}
-            for i in members:
-                n = rngs[i].randrange(total)
-                if n not in children:
-                    child = parent.copy()
-                    child.occupy(parent._nth(choices, n, size))
-                    children[n] = child, entropy(child)
-                halls[i], score = children[n]
-                trajectories[i].append(score)
 
 
 def _can_fork() -> bool:
@@ -306,10 +244,10 @@ def run_many(
     ``os.fork`` is missing or other threads run). This process runs the
     first shard; a forked child runs each other one and returns its
     trajectories over a pipe, and every child is reaped before this
-    returns. Within a shard the runs share each distinct board's rule set
-    while their boards repeat (``_run_range``). Shards are joined in index
-    order and a failure reports the lowest failing run, so the result is
-    the same for every worker count.
+    returns. A shard of more than three runs steps them together, one rule
+    start set per step for all of them (``_run_range``). Shards are joined
+    in index order and a failure reports the lowest failing run, so the
+    result is the same for every worker count.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")

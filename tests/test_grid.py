@@ -16,7 +16,7 @@ from seatsim import (
     parse_choices,
     parse_scenario,
 )
-from seatsim.grid import board_cells
+from seatsim.grid import LaneStack, board_cells
 from support import (
     center_of_mass_bf,
     entropy_bf,
@@ -408,6 +408,49 @@ class TestNth:
             size = rng.randint(1, 3)
             for n, (row, seat) in enumerate(cells):
                 assert hall._nth(starts, n, size) == Placement(row, seat, size)
+
+
+@st.composite
+def lane_cases(draw):
+    """A hall and, for each of 1-8 lanes, two seat sets of it, either of
+    which may be empty or hold the lane's last seat."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 14))
+    hall = Auditorium(rows, cols)
+    last = 1 << (rows - 1) * (cols + 1) + cols - 1
+    seats = st.builds(
+        lambda bits, top: (bits | (last if top else 0)) & hall._valid,
+        st.integers(0, hall._valid),
+        st.booleans(),
+    )
+    values = st.one_of(st.just(0), st.just(last), seats)
+    return hall, draw(st.lists(st.tuples(values, values), min_size=1, max_size=8))
+
+
+class TestLaneStack:
+    @given(lane_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_lane_primitives_match_a_loop_over_lanes(self, case):
+        hall, pairs = case
+        stack = LaneStack(hall, len(pairs))
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        x, y = stack._pack(xs), stack._pack(ys)
+        assert stack._or(x, y) == stack._pack([xi or yi for xi, yi in pairs])
+        assert stack._covers(x) is all(xs)
+        assert hall._or(xs[0], ys[0]) == (xs[0] or ys[0])
+        assert hall._covers(xs[0]) is bool(xs[0])
+        # Growth and free runs stay inside each lane.
+        assert stack._grow(x) == stack._pack([hall._grow(xi) for xi in xs])
+        for size in (1, 2, 3):
+            runs = [hall._run_starts(xi, size) for xi in xs]
+            assert stack._run_starts(x, size) == stack._pack(runs)
+
+    def test_a_new_stack_packs_copies_of_the_hall(self):
+        hall = Auditorium(3, 5, [(1, 1), (3, 5)])
+        stack = LaneStack(hall, 4)
+        assert stack.halls == [hall] * 4 and all(h is not hall for h in stack.halls)
+        assert stack._board == stack._pack([hall._board] * 4)
+        assert stack._valid == stack._pack([hall._valid] * 4)
+        assert stack._bytes == 3  # 4 rows of 6 bits, rounded up to whole bytes
 
 
 class TestOccupy:

@@ -331,9 +331,9 @@ class TestGrowthSteps:
         ranked = []
         closest = Auditorium._closest
 
-        def counted(aud, candidates, size, point):
-            ranked.append(point)
-            return closest(aud, candidates, size, point)
+        def counted(aud, candidates, size):
+            ranked.append(candidates)
+            return closest(aud, candidates, size)
 
         def forbidden(*args):
             raise AssertionError("select_center listed or scored its candidates")

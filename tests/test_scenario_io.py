@@ -199,9 +199,15 @@ class TestValidateTypes:
             # Seats that cannot be sorted or wrapped reach the validator as given.
             (Scenario(2, 3, ((1, 1), ("1", 2)), ()), r"initial seat \('1', 2\) is not a pair"),
             (Scenario(2, 3, ((1, 1, 1),), ()), r"initial seat \(1, 1, 1\) is not a pair"),
+            # So do seat collections and arrivals that are not sequences.
+            (Scenario(2, 3, 5, ()), "initial occupancy must be a sequence, got 5"),
+            (Scenario(2, 3, (), 5), "arrivals must be a sequence, got 5"),
+            (Scenario(2, 3, (), (1,), 5), "observed must be a sequence, got 5"),
+            (Scenario(2, 3, (), (1,), (5,)), "observed step 1 must be a sequence, got 5"),
         ],
         ids=["float-size", "str-size", "float-initial-seat", "float-observed-seat",
-             "str-rows", "float-cols", "str-initial-seat", "triple-initial-seat"],
+             "str-rows", "float-cols", "str-initial-seat", "triple-initial-seat",
+             "int-initial", "int-arrivals", "int-observed", "int-observed-step"],
     )
     def test_non_integers_are_rejected(self, scenario, message):
         # Unchecked, each gives a TypeError, here or later in a run.

@@ -23,12 +23,14 @@ from seatsim import (
     run_once,
 )
 from seatsim import parse_scenario, policies
+from seatsim.grid import LaneStack, Placement, board_cells
 from support import (
     center_of_mass_bf,
     entropy_bf,
     exact_mean_trajectory,
     mirrored,
     occupied_cells,
+    policy_candidates_bf,
     run_once_bf,
 )
 from test_golden import wide_hall_scenario
@@ -172,57 +174,34 @@ class TestRunMany:
             run_once(sc, "bogus", 0)
 
 
-def _replayed_boards(monkeypatch, sc: Scenario, policy: str, runs: int, master_seed: int):
-    """Per run, the board before each step and after the last, from
-    ``run_once`` replays (which score every board they reach, in order)."""
-    boards: list[int] = []
-    score = simulation.entropy
-
-    def recording(aud):
-        boards.append(aud._board)
-        return score(aud)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simulation, "entropy", recording)
-        for run in range(runs):
-            run_once(sc, policy, derive_seed(master_seed, run))
-    steps = len(sc.arrivals) + 1
-    return [boards[run * steps:(run + 1) * steps] for run in range(runs)]
-
-
 def _no_own_step(*args):
     raise AssertionError("a run stepped on its own")
 
 
+def _lanes_of(stack: LaneStack, x: int) -> list[int]:
+    """The lanes of a packed int, one per hall of ``stack``, in order."""
+    data = x.to_bytes(stack._bytes * len(stack.halls), "little")
+    step = stack._bytes
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+
+
 class TestStepMajor:
-    """``run_many`` advances a shard's runs together while their boards
-    repeat (``SHARE_BELOW``) and then finishes each run on its own; every
-    trajectory stays the one ``run_once`` plays."""
+    """A shard of more than three runs steps them together as the lanes of
+    one ``LaneStack``, one rule start set per step; every trajectory stays
+    the one ``run_once`` plays."""
 
     @pytest.fixture(scope="class")
     def wide_hall(self):
         return parse_scenario(wide_hall_scenario())
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    @pytest.mark.parametrize("share", ["never", "to the last step"])
-    def test_both_paths_match_run_once(self, fig1_scenario, wide_hall, monkeypatch, policy, share):
+    def test_lanes_match_run_once(self, fig1_scenario, wide_hall, monkeypatch, policy):
         for sc, runs in ((fig1_scenario, 40), (wide_hall, 8)):
             expected = [run_once(sc, policy, derive_seed(9, run)) for run in range(runs)]
             with monkeypatch.context() as patch:
-                if share == "never":
-                    patch.setattr(simulation, "SHARE_BELOW", 0.0)
-                    calls = []
-                    play = simulation.run_once
-                    patch.setattr(
-                        simulation, "run_once", lambda *args: calls.append(args) or play(*args)
-                    )
-                else:
-                    # Distinct boards never reach twice the runs; no run steps on its own.
-                    patch.setattr(simulation, "SHARE_BELOW", 2.0)
-                    patch.setattr(simulation, "select_placement", _no_own_step)
+                patch.setattr(simulation, "run_once", _no_own_step)
+                patch.setattr(simulation, "select_placement", _no_own_step)
                 assert simulation._run_range(sc, policy, 9, 0, runs) == expected
-            if share == "never":
-                assert len(calls) == runs
 
     @pytest.mark.parametrize("runs, own", [(1, 1), (3, 3), (4, 0), (9, 0)])
     def test_shards_of_three_runs_or_fewer_share_nothing(
@@ -237,37 +216,63 @@ class TestStepMajor:
         assert len(played) == own
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    @pytest.mark.parametrize("share", [None, 2.0])
-    def test_one_rule_set_per_distinct_board(self, fig1_scenario, monkeypatch, policy, share):
-        runs, master_seed = 30, 4
-        replays = _replayed_boards(monkeypatch, fig1_scenario, policy, runs, master_seed)
-        steps = len(fig1_scenario.arrivals)
-        distinct = [len({boards[step] for boards in replays}) for step in range(steps)]
-        if share is not None:
-            monkeypatch.setattr(simulation, "SHARE_BELOW", share)
-        limit = int(simulation.SHARE_BELOW * runs)
-        # A shard shares each step until its distinct boards reach the limit;
-        # from there every run computes its own rule set at every step.
-        switch = next((step for step, count in enumerate(distinct) if count >= limit), steps)
-        expected = distinct[:switch] + [runs] * (steps - switch)
+    def test_each_lane_holds_its_halls_start_set(self, fig1_scenario, monkeypatch, policy):
+        # fig1; a hall that starts empty, so that at step 1 no lane has anyone
+        # seated or a center; and small halls that fill up until some lanes
+        # fall back to every feasible spot while others keep their own set.
+        scenarios = [
+            (fig1_scenario, 40),
+            (Scenario(rows=4, cols=6, initial_occupancy=(), arrivals=(2, 1, 1, 2, 1, 2, 2, 1)), 30),
+            (Scenario(rows=4, cols=5, initial_occupancy=((2, 3),), arrivals=(1,) * 9), 30),
+        ]
+        rule = policies._STARTS[policy]
+        anywhere, merge = policies.random_starts, LaneStack._or
+        steps, fallbacks, mixed = [], [], []
 
-        # The rule's start-set computations, by the step (seats taken) they serve.
-        computed: dict[int, int] = {}
+        def recording(aud, size):
+            halls = [hall.copy() for hall in aud.halls]
+            starts = rule(aud, size)
+            steps.append((halls, size, _lanes_of(aud, starts)))
+            return starts
+
+        def scanning(aud, size):
+            fallbacks.append(anywhere(aud, size))
+            return fallbacks[-1]
+
+        def merging(aud, own, other):
+            # A rule's own set merged with every feasible spot: the lanes where
+            # it is empty fall back, and whether others keep theirs is noted.
+            if fallbacks and other is fallbacks[-1]:
+                mixed.append(any(_lanes_of(aud, own)))
+            return merge(aud, own, other)
+
+        monkeypatch.setitem(policies._STARTS, policy, recording)
+        monkeypatch.setattr(policies, "random_starts", scanning)
+        monkeypatch.setattr(LaneStack, "_or", merging)
+        for sc, runs in scenarios:
+            steps.clear()
+            run_many(sc, policy, runs, 5)
+            assert len(steps) == len(sc.arrivals)
+            assert all(not hall._board for hall in steps[0][0]) == (not sc.initial_occupancy)
+            for halls, size, lanes in steps:
+                assert len(halls) == len(lanes) == runs
+                for hall, lane in zip(halls, lanes):
+                    found = {Placement(r, s, size) for r, s in board_cells(lane, hall.cols)}
+                    assert found == policy_candidates_bf(policy, hall, size)
+        assert any(mixed) == (policy != "random")
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_one_rule_set_per_step(self, fig1_scenario, monkeypatch, policy):
+        calls = []
         rule = policies._STARTS[policy]
 
         def counted(aud, size):
-            computed[aud.occupied_count] = computed.get(aud.occupied_count, 0) + 1
+            calls.append(size)
             return rule(aud, size)
 
         monkeypatch.setitem(policies._STARTS, policy, counted)
-        run_many(fig1_scenario, policy, runs, master_seed)
-        seated = len(fig1_scenario.initial_occupancy)
-        per_step = []
-        for size in fig1_scenario.arrivals:
-            per_step.append(computed.get(seated, 0))
-            seated += size
-        assert per_step == expected
-        assert (switch < steps) == (share is None)
+        run_many(fig1_scenario, policy, 30, 4)
+        assert calls == list(fig1_scenario.arrivals)
 
 
 # A 1x3 hall where the second group (2 seats) fails whenever the first
@@ -448,7 +453,8 @@ class TestShards:
             try:
                 return rule(aud, size)
             except NoFeasiblePlacement:
-                full.append(aud.occupied_count)
+                # Seats per lane: a shard's lanes have all seated as many.
+                full.append(aud.occupied_count // len(getattr(aud, "halls", [aud])))
                 raise
 
         monkeypatch.setitem(policies._STARTS, "random", recording)
@@ -483,14 +489,14 @@ class TestShards:
 
     def test_other_errors_cross_the_pipe_with_their_type(self, two_shards, monkeypatch):
         parent = os.getpid()
-        real_select = simulation.select_placement
+        real_rule = policies._STARTS["space"]
 
-        def select_in_parent_only(policy, aud, size, rng):
+        def rule_in_parent_only(aud, size):
             if os.getpid() != parent:
                 raise ValueError("raised in the child's shard")
-            return real_select(policy, aud, size, rng)
+            return real_rule(aud, size)
 
-        monkeypatch.setattr(simulation, "select_placement", select_in_parent_only)
+        monkeypatch.setitem(policies._STARTS, "space", rule_in_parent_only)
         with pytest.raises(ValueError, match="raised in the child's shard"):
             run_many(small_scenario(), "space", 10, 0, workers=2)
         assert len(two_shards) == 1
