@@ -4,31 +4,29 @@ Rows are numbered 1..rows starting from the back of the hall, seats
 1..cols from left to right. An arriving group claims a contiguous
 horizontal run of seats in a single row (a :class:`Placement`).
 
-The whole hall is one int, a padded bitboard: with ``W = cols + 1``, seat
-``s`` of row ``r`` is bit ``(r-1)*W + s-1``; bit ``(r-1)*W + cols`` is a
-guard, never a seat. Row-major order is ascending bit order, which
-:func:`board_cells` decodes. A set of same-size placements is one int the
-same way, a bit per start seat. Free runs of k seats start where ``f &
-f>>1 & ... & f>>(k-1)`` is set, ``f`` being the free seats; no run crosses
-the guard. Growing the occupants one Manhattan step at a time (``g | g<<1 |
-g>>1 | g<<W | g>>W``, masked to the seats, ``Auditorium._grow``) d times
+A hall is one int, a padded bitboard: with ``W = cols + 1``, seat ``s`` of
+row ``r`` is bit ``(r-1)*W + s-1``; bit ``(r-1)*W + cols`` is a guard, never
+a seat. Row-major order is ascending bit order, which :func:`board_cells`
+decodes. A set of same-size placements is one int the same way, a bit per
+start seat. A board (``_Board``) packs halls of one size into one int, a
+lane each: an :class:`Auditorium` is its hall's one lane; a
+:class:`LaneStack` gives each copy of a hall its rows and a padding row,
+rounded up to whole bytes so that one ``to_bytes``/``from_bytes`` splits
+or packs every lane. Free runs of k seats start where ``f & f>>1 & ... &
+f>>(k-1)`` is set, ``f`` being the free seats; no run crosses a guard or a
+lane's end. Growing the occupants one Manhattan step at a time (``g | g<<1
+| g>>1 | g<<W | g>>W``, masked to the seats, ``_Board._grow``) d times
 blocks every seat within d of someone seated, so the run starts clear of
-that (``Auditorium._run_starts``) are the placements farther than d from
-every occupant. The rules filter these ints and hand their final start
-int to the one shared draw, ``Auditorium._draw``.
+that (``_Board._run_starts``) are the placements farther than d from every
+occupant, in every lane at once. A lane's top bit is never a seat, so
+``(x + fill) & tops`` (``fill`` all ones below each top bit) marks the
+lanes where ``x`` is non-empty and ``marks - (marks >> top)`` widens them,
+for the rules to test and merge start sets per lane (``_Board._covers``,
+``_Board._or``).
 
 A grid block's text is the board (:func:`board_from_text`): its rows of
 ``.``/``#`` joined by LF, reversed and read in binary with ``.``, ``#`` and LF
 as 0, 1 and 0, put each LF on the guard bit of the row before it.
-
-A :class:`LaneStack` packs halls of one size into one int, a lane per hall:
-its rows and one padding row, rounded up to whole bytes so that one
-``to_bytes``/``from_bytes`` splits or packs every lane. Growth ``<< W`` from
-a lane's last row lands in its padding, ``>> W`` from its first row in the
-padding below, and masking by the seats drops both, so ``_grow`` and
-``_run_starts`` serve every lane at once. A lane's top bit is never a seat,
-so ``(x + fill) & tops`` (``fill`` all ones below each top bit) marks the
-lanes where ``x`` is non-empty, and ``marks - (marks >> top)`` widens them.
 """
 
 from __future__ import annotations
@@ -141,23 +139,71 @@ def board_from_text(block: str) -> int:
     return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
 
 
-class Auditorium:
-    """Mutable rows x cols grid of occupied/empty seats.
+class _Board:
+    """Halls of one size in ``_board``, a lane each, ``top + 1`` bits apart
+    (``ones``: bit 0 of each), and the rules' primitives, each per lane."""
+
+    def __init__(self, rows: int, cols: int, top: int, ones: int):
+        self.rows, self.cols, self._width = rows, cols, cols + 1
+        self._valid = _seat_bits(rows, cols + 1) * ones
+        self._top, self._tops, self._fill = top, ones << top, (ones << top) - ones
+
+    def _run_starts(self, blocked: int, size: int) -> int:
+        # The seats that start ``size`` seats clear of ``blocked``.
+        if size < 1:
+            raise ValueError(f"group size must be positive, got {size}")
+        free = run = ~blocked & self._valid
+        for shift in range(1, size):
+            run &= free >> shift
+        return run
+
+    def _grow(self, grown: int) -> int:
+        # One Manhattan step of dilation of the (grown) occupants.
+        return _dilate(grown, self._width, self._valid)
+
+    def _lanes(self, x: int) -> int:
+        # Every bit below the top of each lane where ``x`` is non-empty.
+        marks = (x + self._fill) & self._tops
+        return marks - (marks >> self._top)
+
+    def _or(self, x: int, y: int) -> int:
+        """``x`` in the lanes where it is non-empty, ``y`` in the others."""
+        return x | y & ~self._lanes(x)
+
+    def _covers(self, x: int) -> bool:
+        """Whether ``x`` is non-empty in every lane."""
+        return (x + self._fill) & self._tops == self._tops
+
+    def _closest(self, starts: int, ball: int) -> int:
+        """Each lane's starts of ``starts`` the fewest Manhattan steps from
+        its ``ball``, which must be non-empty where ``starts`` is. With
+        ``ball`` the starts whose run covers a seat (``Auditorium._covering``),
+        these runs are the nearest to that seat: grown d steps, the ball holds
+        the starts within d. A lane met drops out of ``starts``."""
+        found = 0
+        while starts:
+            while not (hit := ball & starts):
+                ball = _dilate(ball, self._width, self._valid)
+            found, starts = found | hit, starts & ~self._lanes(hit)
+        return found
+
+
+class Auditorium(_Board):
+    """Mutable rows x cols grid of occupied/empty seats: a board of one lane.
 
     The state is one int, a bit per seat in the padded layout of the module
-    docstring (``_valid`` has every seat bit set), plus the sums of occupied
-    row and seat numbers (for the center of mass) and the entropy score,
-    kept up to date as seats are taken; the occupant count is the board's
-    popcount. ``occupy``/``occupy_seats`` are the only mutators and only
-    ever flip seats from empty to occupied. Placement and distance queries
-    are computed from the board on each call; nothing is cached.
+    docstring, plus the sums of occupied row and seat numbers (for the
+    center of mass) and the entropy score, kept up to date as seats are
+    taken; the occupant count is the board's popcount. ``occupy`` and
+    ``occupy_seats`` are the only mutators and only ever flip seats from
+    empty to occupied. Placement and distance queries are computed from the
+    board on each call; nothing is cached.
     """
 
     def __init__(self, rows: int, cols: int, occupied: Iterable[tuple[int, int]] = ()):
         if rows < 1 or cols < 1:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
-        self.rows, self.cols, self._width = rows, cols, cols + 1
-        self._valid = _seat_bits(rows, cols + 1)
+        super().__init__(rows, cols, rows * (cols + 1), 1)
         self._board = self._row_sum = self._seat_sum = self._entropy = 0
         if occupied:  # ``_from_board`` builds an empty hall for every choice record
             self.occupy_seats(occupied)
@@ -206,6 +252,7 @@ class Auditorium:
         # 3.11 a hall whose ``__dict__`` was read or filled as a dict reads every
         # attribute more slowly (about 9% of a 100-run fig1 batch).
         dup.rows, dup.cols, dup._width, dup._valid = self.rows, self.cols, self._width, self._valid
+        dup._top, dup._tops, dup._fill = self._top, self._tops, self._fill
         dup._board, dup._row_sum = self._board, self._row_sum
         dup._seat_sum, dup._entropy = self._seat_sum, self._entropy
         return dup
@@ -302,25 +349,11 @@ class Auditorium:
             board, self._row_sum + row_sum, self._seat_sum + seat_sum, score
         )
 
-    def _run_starts(self, blocked: int, size: int) -> int:
-        # The seats that start ``size`` seats clear of ``blocked``.
-        if size < 1:
-            raise ValueError(f"group size must be positive, got {size}")
-        free = run = ~blocked & self._valid
-        for shift in range(1, size):
-            run &= free >> shift
-        return run
-
-    def _grow(self, grown: int) -> int:
-        # One Manhattan step of dilation of the (grown) occupants.
-        return _dilate(grown, self._width, self._valid)
-
     def _draw(self, starts: int, size: int, rng: random.Random) -> Placement:
         """The n-th placement of the start set ``starts`` in row-major order,
         ``n = rng.randrange(popcount)``: the same draw as indexing the
         listed placements. ``starts`` must be non-empty."""
-        row, seat = divmod(_nth_bit(starts, rng.randrange(starts.bit_count())), self._width)
-        return Placement(row + 1, seat + 1, size)
+        return self._nth(starts, rng.randrange(starts.bit_count()), size)
 
     def _nth(self, starts: int, n: int, size: int) -> Placement:
         """The placement of the n-th set bit of ``starts``, counting from 0
@@ -328,31 +361,14 @@ class Auditorium:
         row, seat = divmod(_nth_bit(starts, n), self._width)
         return Placement(row + 1, seat + 1, size)
 
-    def _or(self, x: int, y: int) -> int:
-        return x or y  # a ``LaneStack`` answers this and ``_covers`` per lane
-
-    def _covers(self, x: int) -> bool:
-        return bool(x)
-
     def _covering(self, point: tuple[int, int], size: int) -> int:
         # The starts whose ``size``-seat run covers the seat ``point``.
         row, seat = point
         return ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
 
-    def _closest(self, starts: int, size: int, point: SeatCoord | None = None) -> int:
-        """The starts of ``starts`` whose ``size``-seat run is nearest, by
-        Manhattan distance from a member seat, to ``point`` or the center of mass.
-
-        The starts whose run covers the point's seat are at distance 0, and
-        grown by d Manhattan steps they are the starts within d; so grow
-        them until they meet ``starts``; an empty ``starts`` gives 0.
-        """
-        if not starts:
-            return 0
-        ball = self._covering(point or self.center_of_mass(), size)
-        while not ball & starts:
-            ball = _dilate(ball, self._width, self._valid)
-        return ball & starts
+    def _balls(self, size: int) -> int:
+        # The starts whose run covers the center of mass; someone must be seated.
+        return self._covering(self.center_of_mass(), size)
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.
@@ -394,21 +410,19 @@ class Auditorium:
         return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))
 
 
-class LaneStack(Auditorium):
+class LaneStack(_Board):
     """Copies of one hall (``halls``) as the lanes of ``_board``, on which a
-    rule's start-set function gives each hall's start set in its lane: it
-    inherits ``_grow`` and ``_run_starts`` and answers ``_or``, ``_covers`` and
-    ``_closest`` per lane; no other method applies. Every hall has seated as
-    many people, so an empty ``_board``, or no center of mass, is every lane's."""
+    rule's start-set function gives each hall's start set in its lane. Every
+    hall has seated as many people, so an empty ``_board``, or no center of
+    mass, is every lane's."""
 
     def __init__(self, hall: Auditorium, lanes: int):
-        self.rows, self.cols, self._width = hall.rows, hall.cols, hall._width
-        self.halls = [hall.copy() for _ in range(lanes)]
         self._bytes = ((hall.rows + 1) * hall._width + 7) // 8
-        self._top = top = 8 * self._bytes - 1
+        top = 8 * self._bytes - 1
         ones = ((1 << (top + 1) * lanes) - 1) // ((1 << top + 1) - 1)  # bit 0 of each lane
-        self._valid, self._board = hall._valid * ones, hall._board * ones
-        self._tops, self._fill = ones << top, (ones << top) - ones
+        super().__init__(hall.rows, hall.cols, top, ones)
+        self.halls = [hall.copy() for _ in range(lanes)]
+        self._board = hall._board * ones
 
     def take(self, starts: int, size: int, rngs: Sequence[random.Random]) -> None:
         """Seat ``size`` people in each hall, on a start its rng draws from its lane."""
@@ -422,22 +436,5 @@ class LaneStack(Auditorium):
         step = self._bytes
         return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in lanes]), "little")
 
-    def _lanes(self, x: int) -> int:
-        # Every bit below the top of each lane where ``x`` is non-empty.
-        marks = (x + self._fill) & self._tops
-        return marks - (marks >> self._top)
-
-    def _or(self, x: int, y: int) -> int:
-        return x | y & ~self._lanes(x)
-
-    def _covers(self, x: int) -> bool:
-        return (x + self._fill) & self._tops == self._tops
-
-    def _closest(self, starts: int, size: int) -> int:
-        # Each lane's ball grows from its hall's center of mass until it meets its starts.
-        ball = self._pack([h._covering(h.center_of_mass(), size) for h in self.halls])
-        found, ball = 0, ball & self._lanes(starts)
-        while ball:
-            found |= ball & starts
-            ball = _dilate(ball & ~self._lanes(found), self._width, self._valid)
-        return found
+    def _balls(self, size: int) -> int:
+        return self._pack([h._covering(h.center_of_mass(), size) for h in self.halls])

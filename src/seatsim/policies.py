@@ -8,18 +8,17 @@ placements, as ``options[rng.randrange(len(options))]`` over the
 deterministic row-major candidate order, so a fixed seed fixes the choice.
 
 Each rule is a pure start-set function of ``(aud, size)`` (``max_starts``
-and so on, looked up by :func:`starts_of`): one int with a bit per start
-seat, the fall-back to every feasible spot included, or
-:class:`NoFeasiblePlacement` when there is none. That int is handed to the
-one shared draw, ``Auditorium._draw``, and ``select_*`` is the function
-plus the draw. A simulation runs it once per step on a ``LaneStack`` of its
-runs' halls, so a rule tests and merges sets per lane (``aud._covers(x)``,
-``aud._or(x, y)``; on one hall ``bool(x)`` and ``x or y``). The occupants
-grown d steps (``Auditorium._grow``) block every seat within d of someone
-seated, and ``Auditorium._run_starts`` of that gives the placements farther
-than d from every occupant. A rule scans only the distances it reads, and
-the bare free set (d = 0, :func:`random_starts`) only if its own set is
-empty in some lane, where ``aud._or`` puts it.
+and so on, looked up by :func:`starts_of`) on a board of halls, a lane
+each (``grid._Board``: an ``Auditorium`` or a simulation's ``LaneStack``):
+an int with a bit per start seat in each lane, fall-back included, or
+:class:`NoFeasiblePlacement` when some lane has no room. It tests and
+merges sets per lane (``aud._covers(x)``, ``aud._or(x, y)``). ``select_*``
+is the function on one hall plus the shared draw, ``Auditorium._draw``.
+The occupants grown d steps (``aud._grow``) block every seat within d of
+someone seated, and ``aud._run_starts`` of that gives the placements
+farther than d from every occupant. A rule scans only the distances it
+reads, and the bare free set (d = 0, :func:`random_starts`) only if its
+own set is empty in some lane, where ``aud._or`` puts it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .grid import Auditorium, Placement
+from .grid import Auditorium, Placement, _Board
 
 #: Deterministic pseudo-random stream; construct one per simulation run.
 RandomSource = random.Random
@@ -42,7 +41,7 @@ class NoFeasiblePlacement(Exception):
         self.run = run
 
 
-def random_starts(aud: Auditorium, size: int) -> int:
+def random_starts(aud: _Board, size: int) -> int:
     """Uniform choice over every feasible placement; the other rules fall
     back to it when their own set is empty."""
     starts = aud._run_starts(aud._board, size)
@@ -51,23 +50,26 @@ def random_starts(aud: Auditorium, size: int) -> int:
     return starts
 
 
-def max_starts(aud: Auditorium, size: int) -> int:
+def max_starts(aud: _Board, size: int) -> int:
     """Maximize the minimum Manhattan distance to the people already seated.
 
     The distance of a placement is the smallest distance over its member
     seats. In an empty auditorium every placement ties at infinity.
     """
-    # Grow the occupants until no placement is clear of them; the last
-    # non-empty set of each lane is its farthest. With nobody seated nothing grows.
-    farthest = 0
-    if aud._board:
-        grown = aud._grow(aud._board)
-        while beyond := aud._run_starts(grown, size):
-            farthest, grown = aud._or(beyond, farthest), aud._grow(grown)
-    return farthest if aud._covers(farthest) else aud._or(farthest, random_starts(aud, size))
+    # Grow the occupants until no placement is clear of them (with nobody
+    # seated nothing grows). Each lane takes its last non-empty set, merged
+    # back from the last set only until every lane has one, then any spot.
+    sets, grown = [0], aud._grow(aud._board)
+    while aud._board and (beyond := aud._run_starts(grown, size)):
+        sets.append(beyond)
+        grown = aud._grow(grown)
+    farthest = sets.pop()
+    while not aud._covers(farthest):
+        farthest = aud._or(farthest, sets.pop() if sets else random_starts(aud, size))
+    return farthest
 
 
-def space_starts(aud: Auditorium, size: int) -> int:
+def space_starts(aud: _Board, size: int) -> int:
     """Seek a nearest-occupied distance between 2 and 4 inclusive.
 
     If no placement falls in that band, take the smallest available
@@ -86,7 +88,7 @@ def space_starts(aud: Auditorium, size: int) -> int:
     return banded if aud._covers(banded) else aud._or(banded, random_starts(aud, size))
 
 
-def simple_starts(aud: Auditorium, size: int) -> int:
+def simple_starts(aud: _Board, size: int) -> int:
     """Uniform choice among placements with nearest-occupied distance > 2.
 
     Falls back to a uniform choice over all feasible placements when no
@@ -96,7 +98,7 @@ def simple_starts(aud: Auditorium, size: int) -> int:
     return roomy if aud._covers(roomy) else aud._or(roomy, random_starts(aud, size))
 
 
-def center_starts(aud: Auditorium, size: int) -> int:
+def center_starts(aud: _Board, size: int) -> int:
     """Among placements with distance >= 2, sit closest to the center of mass.
 
     Candidate placements keep a nearest-occupied distance of at least 2;
@@ -107,11 +109,11 @@ def center_starts(aud: Auditorium, size: int) -> int:
 
     Finding the candidates takes one growth step of the occupants; they
     are ranked by a ball grown around the center, without listing them
-    (:meth:`Auditorium._closest`).
+    (``aud._closest``).
     """
     candidates = aud._run_starts(aud._grow(aud._board), size)
     if aud._board:
-        candidates = aud._closest(candidates, size)
+        candidates = aud._closest(candidates, aud._balls(size))
     return candidates if aud._covers(candidates) else aud._or(candidates, random_starts(aud, size))
 
 
@@ -150,7 +152,7 @@ POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {
 
 POLICY_NAMES: tuple[str, ...] = tuple(POLICIES)
 
-_STARTS: dict[str, Callable[[Auditorium, int], int]] = {
+_STARTS: dict[str, Callable[[_Board, int], int]] = {
     "random": random_starts,
     "max": max_starts,
     "space": space_starts,
@@ -159,7 +161,7 @@ _STARTS: dict[str, Callable[[Auditorium, int], int]] = {
 }
 
 
-def starts_of(policy: str) -> Callable[[Auditorium, int], int]:
+def starts_of(policy: str) -> Callable[[_Board, int], int]:
     """The start-set function of the named rule; ``policy`` is one of
     POLICY_NAMES, anything else raises ``ValueError``."""
     if policy not in _STARTS:

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seatsim import (
     Auditorium,
@@ -260,7 +260,8 @@ class TestClosest:
     )
     def test_examples_on_a_row_of_nine(self, size, starts, point, expected):
         mask = sum(1 << (s - 1) for s in starts)
-        found = Auditorium(1, 9)._closest(mask, size, SeatCoord(*point))
+        hall = Auditorium(1, 9)
+        found = hall._closest(mask, hall._covering(SeatCoord(*point), size))
         assert listed(found, size, 9) == [Placement(1, s, size) for s in expected]
 
     def test_every_row_of_starts_and_every_seat(self):
@@ -271,7 +272,7 @@ class TestClosest:
                 placements = listed(mask, size, cols)
                 for seat in range(1, cols + 1):
                     point = SeatCoord(1, seat)
-                    found = hall._closest(mask, size, point)
+                    found = hall._closest(mask, hall._covering(point, size))
                     assert set(listed(found, size, cols)) == closest_bf(placements, point)
 
     def test_matches_brute_force_across_rows(self):
@@ -285,7 +286,8 @@ class TestClosest:
                 for _ in range(rows)
             ])
             point = SeatCoord(rng.randint(1, rows), rng.randint(1, cols))
-            found = Auditorium(rows, cols)._closest(starts, size, point)
+            hall = Auditorium(rows, cols)
+            found = hall._closest(starts, hall._covering(point, size))
             assert found & ~starts == 0
             assert set(listed(found, size, cols)) == closest_bf(listed(starts, size, cols), point)
 
@@ -413,7 +415,7 @@ class TestNth:
 @st.composite
 def lane_cases(draw):
     """A hall and, for each of 1-8 lanes, two seat sets of it, either of
-    which may be empty or hold the lane's last seat."""
+    which may be empty or hold the lane's last seat, and a seat of it."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 14))
     hall = Auditorium(rows, cols)
     last = 1 << (rows - 1) * (cols + 1) + cols - 1
@@ -423,18 +425,22 @@ def lane_cases(draw):
         st.booleans(),
     )
     values = st.one_of(st.just(0), st.just(last), seats)
-    return hall, draw(st.lists(st.tuples(values, values), min_size=1, max_size=8))
+    point = st.builds(SeatCoord, st.integers(1, rows), st.integers(1, cols))
+    return hall, draw(st.lists(st.tuples(values, values, point), min_size=1, max_size=8))
 
 
 class TestLaneStack:
     @given(lane_cases())
+    # One row of 9: starts met at distance 0, starts met at distance 8, no starts.
+    @example((Auditorium(1, 9), [(1 << 4, 0, SeatCoord(1, 5)), (1, 0, SeatCoord(1, 9)),
+                                 (0, 1, SeatCoord(1, 1))]))
     @settings(max_examples=300, deadline=None)
     def test_lane_primitives_match_a_loop_over_lanes(self, case):
-        hall, pairs = case
-        stack = LaneStack(hall, len(pairs))
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        hall, lanes = case
+        stack = LaneStack(hall, len(lanes))
+        xs, ys, points = zip(*lanes)
         x, y = stack._pack(xs), stack._pack(ys)
-        assert stack._or(x, y) == stack._pack([xi or yi for xi, yi in pairs])
+        assert stack._or(x, y) == stack._pack([xi or yi for xi, yi in zip(xs, ys)])
         assert stack._covers(x) is all(xs)
         assert hall._or(xs[0], ys[0]) == (xs[0] or ys[0])
         assert hall._covers(xs[0]) is bool(xs[0])
@@ -443,6 +449,16 @@ class TestLaneStack:
         for size in (1, 2, 3):
             runs = [hall._run_starts(xi, size) for xi in xs]
             assert stack._run_starts(x, size) == stack._pack(runs)
+            # Each lane's ball grows from its own seat and stops at its own starts.
+            balls = [hall._covering(p, size) for p in points]
+            closest = [hall._closest(xi, ball) for xi, ball in zip(xs, balls)]
+            assert stack._closest(x, stack._pack(balls)) == stack._pack(closest)
+
+    def test_a_stack_is_not_a_hall(self):
+        stack = LaneStack(Auditorium(3, 5, [(1, 1)]), 4)
+        assert not issubclass(LaneStack, Auditorium)
+        for name in ("occupied_count", "center_of_mass", "copy", "occupy", "to_rows"):
+            assert not hasattr(stack, name), name
 
     def test_a_new_stack_packs_copies_of_the_hall(self):
         hall = Auditorium(3, 5, [(1, 1), (3, 5)])

@@ -331,9 +331,9 @@ class TestGrowthSteps:
         ranked = []
         closest = Auditorium._closest
 
-        def counted(aud, candidates, size):
+        def counted(aud, candidates, ball):
             ranked.append(candidates)
-            return closest(aud, candidates, size)
+            return closest(aud, candidates, ball)
 
         def forbidden(*args):
             raise AssertionError("select_center listed or scored its candidates")

@@ -454,7 +454,7 @@ class TestShards:
                 return rule(aud, size)
             except NoFeasiblePlacement:
                 # Seats per lane: a shard's lanes have all seated as many.
-                full.append(aud.occupied_count // len(getattr(aud, "halls", [aud])))
+                full.append(aud._board.bit_count() // len(getattr(aud, "halls", [aud])))
                 raise
 
         monkeypatch.setitem(policies._STARTS, "random", recording)
