@@ -193,11 +193,10 @@ class Auditorium(_Board):
 
     The state is one int, a bit per seat in the padded layout of the module
     docstring, plus the sums of occupied row and seat numbers (for the
-    center of mass) and the entropy score, kept up to date as seats are
-    taken; the occupant count is the board's popcount. ``occupy`` and
-    ``occupy_seats`` are the only mutators and only ever flip seats from
-    empty to occupied. Placement and distance queries are computed from the
-    board on each call; nothing is cached.
+    center of mass) and the entropy score; the occupant count is the board's
+    popcount. Two writers keep them: ``_take`` for one free run and
+    ``_set_board`` for a whole board. ``occupy`` and ``occupy_seats`` only
+    flip seats from empty to occupied. Queries are computed from the board.
     """
 
     def __init__(self, rows: int, cols: int, occupied: Iterable[tuple[int, int]] = ()):
@@ -325,29 +324,17 @@ class Auditorium(_Board):
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats in order; the first one off the hall, or taken
-        by an occupant or an earlier seat of ``coords``, raises and changes nothing."""
+        by an occupant or an earlier seat of ``coords``, raises and changes nothing.
+        The new board is then recounted whole by ``_set_board``."""
         board, width = self._board, self._width
-        row_sum = seat_sum = 0
-        rows = set()
         for row, seat in coords:
             self._check_bounds(row, seat)
             bit = 1 << (row - 1) * width + seat - 1
             if board & bit:
                 raise SeatConflict(f"seat ({row},{seat}) is already occupied")
             board |= bit
-            row_sum += row
-            seat_sum += seat
-            rows.add(row)
-        # Only the rows the seats touch change: each moves the score by new flips² - old flips².
-        old, inner, score = self._board, (1 << self.cols - 1) - 1, self._entropy  # as in ``_flips``
-        new_flips, old_flips = board ^ board >> 1, old ^ old >> 1
-        for row in rows:
-            shift = (row - 1) * width
-            score += (new_flips >> shift & inner).bit_count() ** 2
-            score -= (old_flips >> shift & inner).bit_count() ** 2
-        self._board, self._row_sum, self._seat_sum, self._entropy = (
-            board, self._row_sum + row_sum, self._seat_sum + seat_sum, score
-        )
+        if board != self._board:
+            self._set_board(board)
 
     def _draw(self, starts: int, size: int, rng: random.Random) -> Placement:
         """The n-th placement of the start set ``starts`` in row-major order,

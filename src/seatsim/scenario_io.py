@@ -246,7 +246,7 @@ def _sized(values, *what: object) -> int:
 def validate_scenario(scenario: Scenario) -> None:
     """Check a programmatically built Scenario; raises ValidationError."""
     rows, cols = scenario.rows, scenario.cols
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if type(rows) is not int or type(cols) is not int:  # ``True`` would be written as text
         raise ValidationError(f"auditorium size must be integers, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
@@ -255,7 +255,7 @@ def validate_scenario(scenario: Scenario) -> None:
                          ("arrivals", scenario.arrivals), ("observed", observed)):
         _sized(values, what)
     for size in scenario.arrivals:
-        if not isinstance(size, int) or size < 1:
+        if type(size) is not int or size < 1:
             raise ValidationError(f"group size must be a positive integer, got {size!r}")
     if scenario.observed is not None and len(observed) != len(scenario.arrivals):
         raise ValidationError(
@@ -278,7 +278,7 @@ def validate_scenario(scenario: Scenario) -> None:
             except (TypeError, ValueError):  # ``Scenario`` keeps seats it cannot wrap as given
                 raise ValidationError(f"{kind} seat {coord!r} is not a pair of integers") from None
             coord = row, seat
-            if not isinstance(row, int) or not isinstance(seat, int):
+            if type(row) is not int or type(seat) is not int:
                 raise ValidationError(f"{kind} seat {coord} is not a pair of integers")
             if not (1 <= row <= rows and 1 <= seat <= cols):
                 raise ValidationError(f"{kind} seat {coord} out of bounds")

@@ -574,6 +574,27 @@ class TestOccupy:
             assert aud.occupied_count == before.occupied_count + len(seats)
             assert (aud.center_of_mass(), entropy(aud)) == (center_of_mass_bf(aud), entropy_bf(aud))
 
+    def test_sums_stay_exact(self):
+        # The center of mass rounds the row and seat sums, so check them
+        # exactly after every call of a random mix, failing calls included.
+        rng = random.Random(41)
+        for _ in range(300):
+            aud = random_auditorium(rng, max_rows=20, max_cols=40, max_density=0.4)
+            for _ in range(8):
+                seats = [(rng.randint(0, aud.rows + 1), rng.randint(0, aud.cols + 1))
+                         for _ in range(rng.randint(0, 4))]
+                try:
+                    if seats and rng.random() < 0.5:
+                        aud.occupy(Placement(*seats[0], rng.randint(1, 5)))
+                    else:
+                        aud.occupy_seats(seats)
+                except (SeatConflict, ValueError):
+                    pass
+                cells = occupied_cells(aud)
+                assert (aud._row_sum, aud._seat_sum, entropy(aud)) == (
+                    sum(r for r, _ in cells), sum(s for _, s in cells), entropy_bf(aud)
+                )
+
 
 class TestConstruction:
     def test_from_rows_round_trip(self):

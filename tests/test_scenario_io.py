@@ -196,6 +196,11 @@ class TestValidateTypes:
             (Scenario(2, 3, (), (1,), (((2, 1.0),),)), "observed seat"),
             (Scenario("2", 3, (), ()), "auditorium size must be integers"),
             (Scenario(2, 3.0, (), ()), "auditorium size must be integers"),
+            # ``bool`` is an ``int`` subclass, but ``True`` is written as text.
+            (Scenario(True, 3, (), (1,)), "auditorium size must be integers"),
+            (Scenario(2, 3, (), (True, 2)), "group size must be a positive integer"),
+            (Scenario(2, 3, ((1, True),), ()), "initial seat"),
+            (Scenario(2, 3, (), (1,), (((2, True),),)), "observed seat"),
             # Seats that cannot be sorted or wrapped reach the validator as given.
             (Scenario(2, 3, ((1, 1), ("1", 2)), ()), r"initial seat \('1', 2\) is not a pair"),
             (Scenario(2, 3, ((1, 1, 1),), ()), r"initial seat \(1, 1, 1\) is not a pair"),
@@ -206,7 +211,8 @@ class TestValidateTypes:
             (Scenario(2, 3, (), (1,), (5,)), "observed step 1 must be a sequence, got 5"),
         ],
         ids=["float-size", "str-size", "float-initial-seat", "float-observed-seat",
-             "str-rows", "float-cols", "str-initial-seat", "triple-initial-seat",
+             "str-rows", "float-cols", "bool-rows", "bool-size", "bool-initial-seat",
+             "bool-observed-seat", "str-initial-seat", "triple-initial-seat",
              "int-initial", "int-arrivals", "int-observed", "int-observed-step"],
     )
     def test_non_integers_are_rejected(self, scenario, message):

@@ -643,8 +643,8 @@ class TestReplayObserved:
         assert replay_observed(sc) == [0, 1, 2]
 
     def test_every_step_matches_brute_force_on_wide_halls(self):
-        # Each step rescores only the rows its seats touch; a recount of the
-        # whole hall must agree after every one of them.
+        # Each step recounts the hall in closed form; a brute-force count of
+        # the whole hall must agree after every one of them.
         rng = random.Random(40)
         cells = [(r, s) for r in range(1, 21) for s in range(1, 41)]
         for _ in range(6):
