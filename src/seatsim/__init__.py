@@ -22,18 +22,7 @@ from .grid import (
     SeatCoord,
     manhattan_distance,
 )
-from .policies import (
-    POLICIES,
-    POLICY_NAMES,
-    NoFeasiblePlacement,
-    RandomSource,
-    select_center,
-    select_max,
-    select_placement,
-    select_random,
-    select_simple,
-    select_space,
-)
+from .policies import POLICY_NAMES, NoFeasiblePlacement, select_placement
 from .scenario_io import (
     LengthMismatch,
     ParseError,
@@ -65,11 +54,9 @@ __all__ = [
     "MeanTrajectory",
     "MissingObservedData",
     "NoFeasiblePlacement",
-    "POLICIES",
     "POLICY_NAMES",
     "ParseError",
     "Placement",
-    "RandomSource",
     "RowOutOfRange",
     "Scenario",
     "SeatConflict",
@@ -88,12 +75,7 @@ __all__ = [
     "row_transitions",
     "run_many",
     "run_once",
-    "select_center",
-    "select_max",
     "select_placement",
-    "select_random",
-    "select_simple",
-    "select_space",
     "serialize_scenario",
     "validate_scenario",
 ]

@@ -12,13 +12,14 @@ and so on, looked up by :func:`starts_of`) on a board of halls, a lane
 each (``grid._Board``: an ``Auditorium`` or a simulation's ``LaneStack``):
 an int with a bit per start seat in each lane, fall-back included, or
 :class:`NoFeasiblePlacement` when some lane has no room. It tests and
-merges sets per lane (``aud._covers(x)``, ``aud._or(x, y)``). ``select_*``
-is the function on one hall plus the shared draw, ``Auditorium._draw``.
-The occupants grown d steps (``aud._grow``) block every seat within d of
-someone seated, and ``aud._run_starts`` of that gives the placements
-farther than d from every occupant. A rule scans only the distances it
-reads, and the bare free set (d = 0, :func:`random_starts`) only if its
-own set is empty in some lane, where ``aud._or`` puts it.
+merges sets per lane (``aud._covers(x)``, ``aud._or(x, y)``).
+:func:`select_placement` is a named rule on one hall plus the shared draw,
+``Auditorium._draw``. The occupants grown d steps (``aud._grow``) block
+every seat within d of someone seated, and ``aud._run_starts`` of that
+gives the placements farther than d from every occupant. A rule scans
+only the distances it reads, and the bare free set (d = 0,
+:func:`random_starts`) only if its own set is empty in some lane, where
+``aud._or`` puts it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ import random
 from typing import Callable
 
 from .grid import Auditorium, Placement, _Board
-
-#: Deterministic pseudo-random stream; construct one per simulation run.
-RandomSource = random.Random
 
 
 class NoFeasiblePlacement(Exception):
@@ -117,41 +115,6 @@ def center_starts(aud: _Board, size: int) -> int:
     return candidates if aud._covers(candidates) else aud._or(candidates, random_starts(aud, size))
 
 
-def select_random(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Draw among :func:`random_starts`."""
-    return aud._draw(random_starts(aud, size), size, rng)
-
-
-def select_max(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Draw among :func:`max_starts`."""
-    return aud._draw(max_starts(aud, size), size, rng)
-
-
-def select_space(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Draw among :func:`space_starts`."""
-    return aud._draw(space_starts(aud, size), size, rng)
-
-
-def select_simple(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Draw among :func:`simple_starts`."""
-    return aud._draw(simple_starts(aud, size), size, rng)
-
-
-def select_center(aud: Auditorium, size: int, rng: RandomSource) -> Placement:
-    """Draw among :func:`center_starts`."""
-    return aud._draw(center_starts(aud, size), size, rng)
-
-
-POLICIES: dict[str, Callable[[Auditorium, int, RandomSource], Placement]] = {
-    "random": select_random,
-    "max": select_max,
-    "space": select_space,
-    "simple": select_simple,
-    "center": select_center,
-}
-
-POLICY_NAMES: tuple[str, ...] = tuple(POLICIES)
-
 _STARTS: dict[str, Callable[[_Board, int], int]] = {
     "random": random_starts,
     "max": max_starts,
@@ -160,18 +123,20 @@ _STARTS: dict[str, Callable[[_Board, int], int]] = {
     "center": center_starts,
 }
 
+POLICY_NAMES: tuple[str, ...] = tuple(_STARTS)
+
 
 def starts_of(policy: str) -> Callable[[_Board, int], int]:
     """The start-set function of the named rule; ``policy`` is one of
     POLICY_NAMES, anything else raises ``ValueError``."""
     if policy not in _STARTS:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICY_NAMES)}")
     return _STARTS[policy]
 
 
-def select_placement(
-    policy: str, aud: Auditorium, size: int, rng: RandomSource
-) -> Placement:
-    """Dispatch to the named rule; ``policy`` is one of POLICY_NAMES."""
+def select_placement(policy: str, aud: Auditorium, size: int, rng: random.Random) -> Placement:
+    """Seat a group on one hall by the named rule: ``policy`` is one of
+    POLICY_NAMES (anything else raises ``ValueError``), and the draw among
+    its start set is ``Auditorium._draw``."""
     starts = _STARTS.get(policy) or starts_of(policy)  # ``starts_of`` raises
     return aud._draw(starts(aud, size), size, rng)

@@ -6,18 +6,13 @@ import random
 import pytest
 
 from seatsim import (
-    POLICIES,
     Auditorium,
     NoFeasiblePlacement,
     POLICY_NAMES,
     Placement,
-    select_center,
-    select_max,
     select_placement,
-    select_random,
-    select_space,
 )
-from seatsim import grid
+from seatsim import cli, grid, policies
 from support import (
     coverage_draws,
     feasible_placements_bf,
@@ -29,18 +24,18 @@ from support import (
 )
 
 
-def support_of(select, aud, size, draws, seed=0):
+def support_of(policy, aud, size, draws, seed=0):
     """Empirical support: distinct placements returned over seeded draws."""
     seen = set()
     for i in range(draws):
-        seen.add(select(aud, size, random.Random(seed * 1_000_003 + i)))
+        seen.add(select_placement(policy, aud, size, random.Random(seed * 1_000_003 + i)))
     return seen
 
 
 def observed_support(policy, aud, size, seed=0):
     oracle = policy_candidates_bf(policy, aud, size)
     draws = coverage_draws(len(oracle), floor=200)
-    return support_of(lambda a, k, r: select_placement(policy, a, k, r), aud, size, draws, seed), oracle
+    return support_of(policy, aud, size, draws, seed), oracle
 
 
 class TestSharedContract:
@@ -55,6 +50,16 @@ class TestSharedContract:
         aud = Auditorium.from_rows(["##", "##"])
         with pytest.raises(NoFeasiblePlacement):
             select_placement(policy, aud, 1, random.Random(0))
+
+    def test_rule_order(self):
+        # The order ``--policy all`` runs the rules in and the ``unknown
+        # policy`` message lists them in.
+        assert POLICY_NAMES == ("random", "max", "space", "simple", "center")
+        assert POLICY_NAMES == tuple(policies._STARTS)
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        simulate = commands.choices["simulate"]
+        (policy,) = [a for a in simulate._actions if "--policy" in a.option_strings]
+        assert policy.choices == [*POLICY_NAMES, "all"]
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
@@ -84,13 +89,13 @@ class TestMax:
     def test_far_corner_after_single_occupant(self):
         aud = Auditorium(3, 5, [(1, 1)])
         for seed in range(10):
-            assert select_max(aud, 1, random.Random(seed)) == Placement(3, 5, 1)
+            assert select_placement("max", aud, 1, random.Random(seed)) == Placement(3, 5, 1)
 
     def test_row_end_then_midpoint(self):
         aud = Auditorium(1, 7, [(1, 1)])
-        assert select_max(aud, 1, random.Random(0)) == Placement(1, 7, 1)
+        assert select_placement("max", aud, 1, random.Random(0)) == Placement(1, 7, 1)
         aud = Auditorium(1, 7, [(1, 1), (1, 7)])
-        assert select_max(aud, 1, random.Random(0)) == Placement(1, 4, 1)
+        assert select_placement("max", aud, 1, random.Random(0)) == Placement(1, 4, 1)
 
     def test_empty_auditorium_supports_every_cell(self):
         aud = Auditorium(2, 3)
@@ -123,7 +128,7 @@ class TestSpace:
         row = ["#"] * 14
         row[7] = "."
         aud = Auditorium.from_rows(["".join(row)])
-        assert select_space(aud, 1, random.Random(9)) == Placement(1, 8, 1)
+        assert select_placement("space", aud, 1, random.Random(9)) == Placement(1, 8, 1)
 
     def test_corners_only_around_a_center_occupant(self):
         aud = Auditorium(3, 3, [(2, 2)])
@@ -197,7 +202,7 @@ class TestCenter:
     def test_nearest_spot_outside_buffer(self):
         aud = Auditorium(1, 10, [(1, 1)])
         for seed in range(10):
-            assert select_center(aud, 1, random.Random(seed)) == Placement(1, 3, 1)
+            assert select_placement("center", aud, 1, random.Random(seed)) == Placement(1, 3, 1)
 
     def test_two_occupants_oracle_equality(self):
         aud = Auditorium(3, 14, [(1, 1), (1, 3)])
@@ -217,7 +222,7 @@ class TestRandomPolicy:
         counts = {1: 0, 3: 0}
         draws = 5000
         for i in range(draws):
-            pl = select_random(aud, 1, random.Random(i))
+            pl = select_placement("random", aud, 1, random.Random(i))
             counts[pl.start_seat] += 1
         assert abs(counts[1] / draws - 0.5) < 0.03
 
@@ -239,13 +244,7 @@ class TestOracleEquivalenceSmallInstances:
             if not oracle:
                 continue
             draws = coverage_draws(len(oracle), floor=200)
-            support = support_of(
-                lambda a, k, r: select_placement(policy, a, k, r),
-                aud,
-                size,
-                draws,
-                seed=checked,
-            )
+            support = support_of(policy, aud, size, draws, seed=checked)
             assert support == oracle
             checked += 1
 
@@ -255,7 +254,6 @@ class TestTieBreakOrder:
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_choice_is_indexed_in_row_major_order(self, policy):
-        select = POLICIES[policy]
         rng = random.Random(70_000 + POLICY_NAMES.index(policy))
         for _ in range(200):
             aud = random_auditorium(rng)
@@ -264,10 +262,10 @@ class TestTieBreakOrder:
                 for seed in range(3):
                     if not ordered:
                         with pytest.raises(NoFeasiblePlacement):
-                            select(aud, size, random.Random(seed))
+                            select_placement(policy, aud, size, random.Random(seed))
                         continue
                     expected = ordered[random.Random(seed).randrange(len(ordered))]
-                    assert select(aud, size, random.Random(seed)) == expected
+                    assert select_placement(policy, aud, size, random.Random(seed)) == expected
 
 
 class TestGrowthSteps:
@@ -336,7 +334,7 @@ class TestGrowthSteps:
             return closest(aud, candidates, ball)
 
         def forbidden(*args):
-            raise AssertionError("select_center listed or scored its candidates")
+            raise AssertionError('select_placement("center", ...) listed or scored its candidates')
 
         rng = random.Random(80_005)
         halls = [random_auditorium(rng) for _ in range(50)]  # built through board_cells
@@ -349,5 +347,5 @@ class TestGrowthSteps:
             for size in (1, 2, 3, 4):
                 # not feasible_placements: it lists through board_cells
                 if aud._run_starts(aud._board, size):
-                    select_center(aud, size, rng)
+                    select_placement("center", aud, size, rng)
         assert len(ranked) > 50

@@ -18,16 +18,22 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_import_loads_only_the_standard_library():
+def _run_python(code, **kwargs):
+    """Run ``code`` in a fresh interpreter that imports seatsim from src/."""
     path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", _LIST_NEW_MODULES],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
+        **kwargs,
     )
+
+
+def test_import_loads_only_the_standard_library():
+    result = _run_python(_LIST_NEW_MODULES)
     origin, *loaded = result.stdout.split()
     assert origin.startswith(str(REPO_ROOT / "src"))
     assert "seatsim.grid" in loaded
@@ -47,3 +53,28 @@ def test_no_process_pool_or_thread_module_in_the_package():
         for module in ("multiprocessing", "concurrent.futures", "threading"):
             assert f"import {module}" not in text, (path.name, module)
             assert f"from {module}" not in text, (path.name, module)
+
+
+def _library_example():
+    """The ``python`` block under README "Library use"."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    result = _run_python(_library_example(), cwd=REPO_ROOT)
+    assert result.stdout == (
+        "173.849 8.952887746420188\n"
+        "Placement(row=7, start_seat=13, size=2)\n"
+    )
+
+
+def test_package_exports_resolve():
+    import seatsim
+
+    assert len(seatsim.__all__) == len(set(seatsim.__all__))
+    assert [name for name in seatsim.__all__ if not hasattr(seatsim, name)] == []
+    namespace = {}
+    exec("from seatsim import *", namespace)
+    assert set(seatsim.__all__) <= set(namespace)
