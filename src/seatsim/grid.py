@@ -141,10 +141,11 @@ def board_from_text(block: str) -> int:
 
 class _Board:
     """Halls of one size in ``_board``, a lane each, ``top + 1`` bits apart
-    (``ones``: bit 0 of each), and the rules' primitives, each per lane."""
+    (``ones``: bit 0 of each), and the rules' primitives, each per lane;
+    ``_row_mask`` has a bit per seat of one row."""
 
     def __init__(self, rows: int, cols: int, top: int, ones: int):
-        self.rows, self.cols, self._width = rows, cols, cols + 1
+        self.rows, self.cols, self._width, self._row_mask = rows, cols, cols + 1, (1 << cols) - 1
         self._valid = _seat_bits(rows, cols + 1) * ones
         self._top, self._tops, self._fill = top, ones << top, (ones << top) - ones
 
@@ -222,7 +223,7 @@ class Auditorium(_Board):
         for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
             row_sum += (board >> shift).bit_count()
             score += (flips >> shift & inner).bit_count() ** 2
-        rep = self._valid // ((1 << cols) - 1)  # the first seat of each row
+        rep = self._valid // self._row_mask  # the first seat of each row
         for k in range(cols.bit_length()):
             seat_sum += (board & rep * _bit_slice(k, cols)).bit_count() << k
         self._board, self._row_sum, self._seat_sum, self._entropy = board, row_sum, seat_sum, score
@@ -250,7 +251,8 @@ class Auditorium(_Board):
         # Field by field, in ``__init__``'s order, and without ``vars()``: on CPython
         # 3.11 a hall whose ``__dict__`` was read or filled as a dict reads every
         # attribute more slowly (about 9% of a 100-run fig1 batch).
-        dup.rows, dup.cols, dup._width, dup._valid = self.rows, self.cols, self._width, self._valid
+        dup.rows, dup.cols, dup._width = self.rows, self.cols, self._width
+        dup._row_mask, dup._valid = self._row_mask, self._valid
         dup._top, dup._tops, dup._fill = self._top, self._tops, self._fill
         dup._board, dup._row_sum = self._board, self._row_sum
         dup._seat_sum, dup._entropy = self._seat_sum, self._entropy
@@ -270,7 +272,7 @@ class Auditorium(_Board):
             raise ValueError(f"seat ({row},{seat}) outside {self.rows}x{self.cols} auditorium")
 
     def _row(self, row: int) -> int:
-        return self._board >> (row - 1) * self._width & (1 << self.cols) - 1
+        return self._board >> (row - 1) * self._width & self._row_mask
 
     def is_occupied(self, row: int, seat: int) -> bool:
         self._check_bounds(row, seat)
@@ -314,13 +316,15 @@ class Auditorium(_Board):
     def _take(self, low: int, size: int) -> None:
         # Seat the free run of ``size`` from bit ``low``, unchecked; only its row's flips change.
         row, seat = divmod(low, self._width)
-        old = self._board >> low - seat & (1 << self.cols) - 1
-        self._board |= ((1 << size) - 1) << low
+        run, mask, board = (1 << size) - 1, self._row_mask, self._board
+        old = board >> low - seat & mask
+        new = old | run << seat
+        self._board = board | run << low
         self._row_sum += (row + 1) * size
-        self._seat_sum += size * (seat + 1) + size * (size - 1) // 2
-        new, inner = old | ((1 << size) - 1) << seat, (1 << self.cols - 1) - 1  # as in ``_flips``
-        self._entropy += (((new ^ new >> 1) & inner).bit_count() ** 2
-                          - ((old ^ old >> 1) & inner).bit_count() ** 2)
+        self._seat_sum += size * (2 * seat + 1 + size) >> 1  # seats seat+1 .. seat+size
+        mask >>= 1  # as in ``_flips``
+        now, was = ((new ^ new >> 1) & mask).bit_count(), ((old ^ old >> 1) & mask).bit_count()
+        self._entropy += (now - was) * (now + was)  # now**2 - was**2
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats in order; the first one off the hall, or taken
@@ -400,8 +404,8 @@ class Auditorium(_Board):
 class LaneStack(_Board):
     """Copies of one hall (``halls``) as the lanes of ``_board``, on which a
     rule's start-set function gives each hall's start set in its lane. Every
-    hall has seated as many people, so an empty ``_board``, or no center of
-    mass, is every lane's."""
+    hall has seated as many people, the board's popcount over the lane count,
+    so an empty ``_board``, or no center of mass, is every lane's."""
 
     def __init__(self, hall: Auditorium, lanes: int):
         self._bytes = ((hall.rows + 1) * hall._width + 7) // 8
@@ -411,17 +415,28 @@ class LaneStack(_Board):
         self.halls = [hall.copy() for _ in range(lanes)]
         self._board = hall._board * ones
 
-    def take(self, starts: int, size: int, rngs: Sequence[random.Random]) -> None:
-        """Seat ``size`` people in each hall, on a start its rng draws from its lane."""
+    def take(
+        self, starts: int, size: int, rngs: Sequence[random.Random], trajectories: list[list[int]]
+    ) -> None:
+        """Seat ``size`` people in each hall, on a start its rng draws from its
+        lane, and append the hall's new entropy score to its trajectory."""
         step, data = self._bytes, starts.to_bytes(self._bytes * len(self.halls), "little")
-        for i, hall, rng in zip(range(0, len(data), step), self.halls, rngs):
+        boards, lanes = [], zip(range(0, len(data), step), self.halls, rngs, trajectories)
+        for i, hall, rng, trajectory in lanes:
             lane = int.from_bytes(data[i:i + step], "little")
             hall._take(_nth_bit(lane, rng.randrange(lane.bit_count())), size)
-        self._board = self._pack([hall._board for hall in self.halls])
+            trajectory.append(hall._entropy)
+            boards.append(hall._board.to_bytes(step, "little"))
+        self._board = int.from_bytes(b"".join(boards), "little")
 
     def _pack(self, lanes: list[int]) -> int:
         step = self._bytes
         return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in lanes]), "little")
 
     def _balls(self, size: int) -> int:
-        return self._pack([h._covering(h.center_of_mass(), size) for h in self.halls])
+        # Each hall's ``_balls``, its center of mass rounded as ``center_of_mass`` does.
+        n = self._board.bit_count() // len(self.halls)
+        twice = 2 * n
+        return self._pack([
+            h._covering(((2 * h._row_sum + n) // twice, (2 * h._seat_sum + n) // twice), size)
+            for h in self.halls])

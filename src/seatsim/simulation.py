@@ -129,20 +129,20 @@ def _run_range(
     run, as playing the runs one by one would.
 
     More than three runs step together as the lanes of one ``LaneStack``, one
-    rule start set per step, each run drawing from its lane with its own rng.
+    rule start set per step, each run drawing from its lane with its own rng;
+    ``LaneStack.take`` seats every hall and appends its score in one pass.
     Fewer runs, or runs where one finds no room, play ``run_once`` one by one.
     """
     starts = starts_of(policy)
     seeds = [derive_seed(master_seed, run) for run in range(lo, hi)]
     if len(seeds) > 3:
-        lanes = LaneStack(scenario.initial_auditorium(), len(seeds))
+        hall = scenario.initial_auditorium()
+        lanes, score = LaneStack(hall, len(seeds)), entropy(hall)
         rngs = [random.Random(seed) for seed in seeds]
-        trajectories = [[entropy(hall)] for hall in lanes.halls]
+        trajectories = [[score] for _ in seeds]
         try:
             for size in scenario.arrivals:
-                lanes.take(starts(lanes, size), size, rngs)
-                for trajectory, hall in zip(trajectories, lanes.halls):
-                    trajectory.append(entropy(hall))
+                lanes.take(starts(lanes, size), size, rngs, trajectories)
             return trajectories
         except NoFeasiblePlacement:
             pass  # replayed run by run below

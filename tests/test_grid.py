@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from seatsim import (
     manhattan_distance,
     parse_choices,
     parse_scenario,
+    policies,
 )
 from seatsim.grid import LaneStack, board_cells
 from support import (
@@ -467,6 +469,37 @@ class TestLaneStack:
         assert stack._board == stack._pack([hall._board] * 4)
         assert stack._valid == stack._pack([hall._valid] * 4)
         assert stack._bytes == 3  # 4 rows of 6 bits, rounded up to whole bytes
+
+
+class TestLaneBalls:
+    """``LaneStack._balls`` rounds each hall's center from its sums as
+    ``Auditorium.center_of_mass`` does."""
+
+    @staticmethod
+    def _assert_balls_cover_centers(stack):
+        for size in range(1, 5):
+            balls = [hall._covering(hall.center_of_mass(), size) for hall in stack.halls]
+            assert stack._balls(size) == stack._pack(balls)
+
+    def test_balls_cover_each_halls_center_of_mass(self, fig1_scenario):
+        # fig1's lanes, diverging as the random rule seats them step by step.
+        stack = LaneStack(fig1_scenario.initial_auditorium(), 30)
+        rngs = [random.Random(seed) for seed in range(30)]
+        trajectories = [[] for _ in rngs]
+        for size in fig1_scenario.arrivals:
+            stack.take(policies.random_starts(stack, size), size, rngs, trajectories)
+            assert len({hall._board for hall in stack.halls}) > 1
+            self._assert_balls_cover_centers(stack)
+        # Every 1x9 hall with 1 to 4 seated, a lane each: every mean seat,
+        # halves that round up included.
+        for seated in range(1, 5):
+            seat_sets = itertools.combinations(range(9), seated)
+            boards = [sum(1 << s for s in seats) for seats in seat_sets]
+            stack = LaneStack(Auditorium(1, 9), len(boards))
+            for hall, board in zip(stack.halls, boards):
+                hall._set_board(board)
+            stack._board = stack._pack(boards)
+            self._assert_balls_cover_centers(stack)
 
 
 class TestOccupy:

@@ -23,7 +23,7 @@ from seatsim import (
     run_once,
 )
 from seatsim import parse_scenario, policies
-from seatsim.grid import LaneStack, Placement, board_cells
+from seatsim.grid import Auditorium, LaneStack, Placement, board_cells
 from support import (
     center_of_mass_bf,
     entropy_bf,
@@ -202,6 +202,64 @@ class TestStepMajor:
                 patch.setattr(simulation, "run_once", _no_own_step)
                 patch.setattr(simulation, "select_placement", _no_own_step)
                 assert simulation._run_range(sc, policy, 9, 0, runs) == expected
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_lanes_draw_once_per_step_as_run_once_does(
+        self, fig1_scenario, wide_hall, monkeypatch, policy
+    ):
+        # Each run's stops for ``randrange``, by seed. Overriding only ``randrange``
+        # keeps ``_randbelow`` on ``getrandbits``, so the stream is the one it was.
+        stops = {}
+
+        class Recording(random.Random):
+            def __init__(self, seed):
+                stops[seed] = self.stops = []
+                super().__init__(seed)
+
+            def randrange(self, *args):
+                self.stops.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        for sc, runs in ((fig1_scenario, 40), (wide_hall, 8)):
+            seeds = [derive_seed(9, run) for run in range(runs)]
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "run_once", _no_own_step)
+                simulation._run_range(sc, policy, 9, 0, runs)
+            in_lanes = [stops.pop(seed) for seed in seeds]
+            assert all(len(run) == len(sc.arrivals) for run in in_lanes)
+            for seed, run in zip(seeds, in_lanes):
+                run_once(sc, policy, seed)
+                assert run == stops.pop(seed)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_lane_sums_and_scores_stay_exact(self, fig1_scenario, wide_hall, monkeypatch, policy):
+        # Before every step and after the last, each hall's sums and score are
+        # those its board recounts to, and its trajectory holds each score.
+        rule, stacks, scores = policies._STARTS[policy], [], []
+
+        def check(stack):
+            for hall in stack.halls:
+                fresh = Auditorium._from_board(hall.rows, hall.cols, hall._board)
+                sums = (hall._row_sum, hall._seat_sum, hall._entropy)
+                assert sums == (fresh._row_sum, fresh._seat_sum, fresh._entropy)
+            assert stack._board == stack._pack([hall._board for hall in stack.halls])
+            scores.append([entropy_bf(hall) for hall in stack.halls])
+
+        def checking(aud, size):
+            check(aud)
+            stacks.append(aud)
+            return rule(aud, size)
+
+        monkeypatch.setitem(policies._STARTS, policy, checking)
+        monkeypatch.setattr(simulation, "run_once", _no_own_step)
+        for sc, runs in ((fig1_scenario, 40), (wide_hall, 8)):
+            stacks.clear()
+            scores.clear()
+            trajectories = simulation._run_range(sc, policy, 9, 0, runs)
+            check(stacks[-1])
+            assert len(scores) == len(sc.arrivals) + 1
+            assert trajectories == [list(run) for run in zip(*scores)]
 
     @pytest.mark.parametrize("runs, own", [(1, 1), (3, 3), (4, 0), (9, 0)])
     def test_shards_of_three_runs_or_fewer_share_nothing(
