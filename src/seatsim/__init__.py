@@ -14,18 +14,23 @@ from .analysis import (
     center_distance_histogram,
     nearest_distance_histogram,
 )
-from .entropy import RowOutOfRange, entropy, row_transitions
 from .grid import (
     Auditorium,
     Placement,
+    RowOutOfRange,
     SeatConflict,
     SeatCoord,
+    entropy,
     manhattan_distance,
+    row_transitions,
 )
 from .policies import POLICY_NAMES, NoFeasiblePlacement, select_placement
 from .scenario_io import (
     LengthMismatch,
+    MeanTrajectory,
     ParseError,
+    Scenario,
+    Trajectory,
     ValidationError,
     emit_trajectories_csv,
     parse_choices,
@@ -34,10 +39,7 @@ from .scenario_io import (
     validate_scenario,
 )
 from .simulation import (
-    MeanTrajectory,
     MissingObservedData,
-    Scenario,
-    Trajectory,
     derive_seed,
     replay_observed,
     run_many,

@@ -24,8 +24,7 @@ from .analysis import (
     center_distance_histogram,
     nearest_distance_histogram,
 )
-from .entropy import entropy
-from .grid import SeatConflict
+from .grid import SeatConflict, entropy
 from .policies import POLICY_NAMES, NoFeasiblePlacement
 from .scenario_io import (
     LengthMismatch,

@@ -24,20 +24,42 @@ lanes where ``x`` is non-empty and ``marks - (marks >> top)`` widens them,
 for the rules to test and merge start sets per lane (``_Board._covers``,
 ``_Board._or``).
 
-A grid block's text is the board (:func:`board_from_text`): its rows of
-``.``/``#`` joined by LF, reversed and read in binary with ``.``, ``#`` and LF
-as 0, 1 and 0, put each LF on the guard bit of the row before it.
+A grid block's text is the board (:func:`read_grid`, which checks it): its
+rows of ``.``/``#`` joined by LF, reversed and read in binary with ``.``,
+``#`` and LF as 0, 1 and 0, put each LF on the guard bit of the row before it.
+
+The dispersion score of a seating (:func:`entropy`) is defined here too,
+beside the two writers that keep it up to date: within each row, count the
+flips between empty and occupied as the row is read left to right; square
+the per-row count and sum over rows. Densely packed arrangements score near
+0, arrangements full of gaps score high. The score is a plain integer, which
+keeps regression checks exact. It is bounded by rows * (cols - 1)**2,
+attained when every row alternates.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class SeatConflict(Exception):
     """An already occupied seat would be occupied a second time."""
+
+
+class RowOutOfRange(Exception):
+    """A row index outside 1..rows was requested."""
+
+
+class GridError(ValueError):
+    """A grid row of the wrong length or with a character other than ``.``
+    and ``#``; carries the 1-based row and column and the bare message."""
+
+    def __init__(self, row: int, column: int, message: str):
+        super().__init__(f"row {row}, column {column}: {message}")
+        self.row, self.column, self.message = row, column, message
 
 
 class SeatCoord(NamedTuple):
@@ -93,11 +115,6 @@ def _dilate(bits: int, width: int, seats: int) -> int:
     return (bits | bits << 1 | bits >> 1 | bits << width | bits >> width) & seats
 
 
-def _flips(mask: int, cols: int) -> int:
-    """Empty/occupied flips between adjacent seats of one row's mask."""
-    return ((mask ^ mask >> 1) & ((1 << cols - 1) - 1)).bit_count()
-
-
 def _bit_slice(k: int, cols: int) -> int:
     """Row mask of the seats of ``1..cols`` whose number has bit ``k`` set:
     runs of ``2**k`` seats every ``2**(k+1)``, the first at seat ``2**k``."""
@@ -133,10 +150,22 @@ def _nth_bit(starts: int, n: int) -> int:
 _GRID_CHARS = str.maketrans("01", ".#")
 
 
-def board_from_text(block: str) -> int:
-    """The board of grid rows of ``.``/``#`` joined by LF, all of one
-    length; other characters are not checked."""
-    return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
+def read_grid(texts: Sequence[str], cols: int) -> int:
+    """The board of rows of ``cols`` characters ``.``/``#``, at least one.
+    The first faulty row raises :class:`GridError`, on its length before
+    its characters."""
+    block = "\n".join(texts)
+    # The length test first keeps an LF out of every row and a huge ``cols`` off the pattern.
+    if len(block) == len(texts) * (cols + 1) - 1 and re.fullmatch(
+            f"(?:[.#]{{{cols}}}\n)*[.#]{{{cols}}}", block):
+        return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
+    for row, text in enumerate(texts, start=1):
+        if len(text) != cols:
+            message = f"grid row {row} has {len(text)} characters, expected {cols}"
+            raise GridError(row, min(len(text), cols) + 1, message)
+        if bad := re.search("[^.#]", text):
+            message = f"bad grid character {bad.group()!r}, expected '.' or '#'"
+            raise GridError(row, bad.start() + 1, message)
 
 
 class _Board:
@@ -218,7 +247,7 @@ class Auditorium(_Board):
         # Shifted right by r = 0, 1, ... rows, the board keeps rows r+1 on, so row k
         # is counted k times; the seat sum adds bit k of the seat numbers a slice at a time.
         cols = self.cols
-        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``_flips``
+        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``row_transitions``
         row_sum = seat_sum = score = 0
         for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
             row_sum += (board >> shift).bit_count()
@@ -230,16 +259,11 @@ class Auditorium(_Board):
 
     @classmethod
     def from_rows(cls, lines: Sequence[str]) -> Auditorium:
-        """Build from strings of ``.`` (empty) and ``#`` (occupied)."""
+        """Build from strings of ``.`` (empty) and ``#`` (occupied), all as
+        long as the first; a faulty row raises :class:`GridError`."""
         if not lines:
             raise ValueError("need at least one row")
-        cols = len(lines[0])
-        for r, line in enumerate(lines, start=1):
-            if len(line) != cols:
-                raise ValueError(f"row {r} has length {len(line)}, expected {cols}")
-            if line.strip(".#"):
-                raise ValueError(f"bad grid character {line.strip('.#')[0]!r} in row {r}")
-        return cls._from_board(len(lines), cols, board_from_text("\n".join(lines)))
+        return cls._from_board(len(lines), len(lines[0]), read_grid(lines, len(lines[0])))
 
     def to_rows(self) -> list[str]:
         """Inverse of :meth:`from_rows`."""
@@ -322,7 +346,7 @@ class Auditorium(_Board):
         self._board = board | run << low
         self._row_sum += (row + 1) * size
         self._seat_sum += size * (2 * seat + 1 + size) >> 1  # seats seat+1 .. seat+size
-        mask >>= 1  # as in ``_flips``
+        mask >>= 1  # as in ``row_transitions``
         now, was = ((new ^ new >> 1) & mask).bit_count(), ((old ^ old >> 1) & mask).bit_count()
         self._entropy += (now - was) * (now + was)  # now**2 - was**2
 
@@ -399,6 +423,20 @@ class Auditorium(_Board):
             return None
         n = self._board.bit_count()  # round(sum / n), ties going up, exact in integers
         return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))
+
+
+def row_transitions(aud: Auditorium, row: int) -> int:
+    """Number of empty/occupied flips between adjacent seats in one row."""
+    if not 1 <= row <= aud.rows:
+        raise RowOutOfRange(f"row {row} outside 1..{aud.rows}")
+    mask = aud._row(row)
+    return ((mask ^ mask >> 1) & ((1 << aud.cols - 1) - 1)).bit_count()
+
+
+def entropy(aud: Auditorium) -> int:
+    """Sum over rows of the squared transition count, which the hall's two
+    writers, ``_take`` and ``_set_board``, keep up to date."""
+    return aud._entropy
 
 
 class LaneStack(_Board):

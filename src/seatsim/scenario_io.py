@@ -1,4 +1,12 @@
-"""Text formats: scenario files, choice files, and trajectory CSV.
+"""Simulation data, its checks and its text formats.
+
+A :class:`Scenario` fixes the hall size, who is already seated, and the
+ordered group sizes that arrive one per time step; ``validate_scenario``
+checks one built in code. A trajectory records the entropy score after
+every step, with index 0 holding the score of the initial configuration so
+simulated and recorded curves share an anchored origin; a
+:class:`MeanTrajectory` aggregates many runs. The text formats are
+scenario files, choice files, and trajectory CSV.
 
 All files are UTF-8. Lines end at LF only; a CR before the LF is trailing
 whitespace, and no other character ends a line. Tokens are separated by
@@ -41,12 +49,73 @@ its integer entropy as mean with std 0 and min = max = mean.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
 from .analysis import ChoiceRecord
-from .grid import Auditorium, board_cells, board_from_text
-from .simulation import MeanTrajectory, Scenario
+from .grid import Auditorium, GridError, SeatCoord, board_cells, read_grid
+
+
+#: A trajectory is a plain list of integer entropy scores,
+#: length = number of arrivals + 1.
+Trajectory = list[int]
+
+
+def _row_major(seats):
+    """``seats`` as ``SeatCoord``s in row-major order; seats that are not
+    pairs, or do not compare, are kept as given for ``validate_scenario``."""
+    try:
+        return tuple(sorted(map(SeatCoord._make, seats)))
+    except TypeError:
+        return seats
+
+
+@dataclass
+class Scenario:
+    """Complete simulation input.
+
+    ``initial_occupancy`` seats are taken before step 1; ``arrivals[t-1]``
+    is the size of the group arriving at step t; ``observed``, when
+    present, records the real seats taken at each step (one seat set per
+    arrival, same group sizes). Seats are wrapped as ``SeatCoord`` here and
+    put in row-major order, so equal scenarios compare equal; malformed ones
+    are left for ``validate_scenario``. No hall is kept.
+    """
+
+    rows: int
+    cols: int
+    initial_occupancy: tuple[SeatCoord, ...]
+    arrivals: tuple[int, ...]
+    observed: tuple[tuple[SeatCoord, ...], ...] | None = None
+
+    def __post_init__(self) -> None:
+        self.initial_occupancy = _row_major(self.initial_occupancy)
+        with suppress(TypeError):  # what is not iterable is left for ``validate_scenario``
+            self.arrivals = tuple(self.arrivals)
+            if self.observed is not None:
+                self.observed = tuple(map(_row_major, self.observed))
+
+    def initial_auditorium(self) -> Auditorium:
+        """The hall before step 1, built afresh on every call."""
+        return Auditorium(self.rows, self.cols, self.initial_occupancy)
+
+
+@dataclass
+class MeanTrajectory:
+    """Per-step aggregate over Monte Carlo runs.
+
+    ``std`` is the population standard deviation (the runs are the whole
+    population of interest, not a sample from one). All four lists share
+    the trajectory length.
+    """
+
+    mean: list[float]
+    std: list[float]
+    min: list[int]
+    max: list[int]
+    run_count: int
 
 
 class ParseError(Exception):
@@ -156,25 +225,6 @@ def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
     )
 
 
-def _read_grid(lines: Sequence[tuple[int, str]], cols: int) -> int:
-    """The board (see :mod:`seatsim.grid`) of numbered rows of ``cols`` characters.
-    The first faulty row raises, on its length before its characters."""
-    block = "\n".join([text for _, text in lines])
-    full_rows = f"(?:[.#]{{{cols}}}\n)*"
-    good = 0  # rows before the first faulty one
-    if len(lines[0][1]) == cols:  # else row 1 is; a huge cols never reaches the patterns
-        if re.fullmatch(f"{full_rows}[.#]{{{cols}}}", block):
-            return board_from_text(block)
-        good = re.match(full_rows, block).end() // (cols + 1)
-    line, text = lines[good]
-    if len(text) != cols:
-        message = f"grid row {good + 1} has {len(text)} characters, expected {cols}"
-        raise ParseError(line, min(len(text), cols) + 1, message)
-    bad = re.search("[^.#]", text)
-    message = f"bad grid character {bad.group()!r}, expected '.' or '#'"
-    raise ParseError(line, bad.start() + 1, message)
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse the scenario format; see the module docstring for the grammar.
 
@@ -190,7 +240,10 @@ def parse_scenario(text: str) -> Scenario:
     _keyword(cur.take("'grid'"), "grid")
     grid = cur.items[cur.pos : cur.pos + rows]
     cur.pos += len(grid)
-    board = _read_grid(grid, cols) if grid else 0
+    try:
+        board = read_grid([text for _, text in grid], cols) if grid else 0
+    except GridError as exc:
+        raise ParseError(grid[exc.row - 1][0], exc.column, exc.message) from None
     if len(grid) < rows:  # after the rows read, so that their faults win
         cur.take(f"grid row {len(grid) + 1}")
 
@@ -299,7 +352,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     if scenario.observed is not None:
         lines.append("observed")
         for index, seats in enumerate(scenario.observed, start=1):
-            coords = " ".join(f"{c.row},{c.seat}" for c in seats)
+            coords = " ".join(f"{row},{seat}" for row, seat in seats)
             lines.append(f"{index}: {coords}" if coords else f"{index}:")
     return "\n".join(lines) + "\n"
 
@@ -318,17 +371,15 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     _keyword(lines[1], "grid")
 
     *grid_lines, (chosen_line, chosen_text) = lines[2:]
-    cols = len(grid_lines[0][1])
     try:
-        board = _read_grid(grid_lines, cols)
-    except ParseError as exc:  # at a 'chosen' line, the fault is the line after it
-        n = next(n for n, (line, _) in enumerate(lines) if line == exc.line)
-        if not lines[n][1].lstrip(" \t").startswith("chosen"):
-            raise
-        line, text = lines[n + 1]
+        configuration = Auditorium.from_rows([text for _, text in grid_lines])
+    except GridError as exc:
+        line, text = lines[exc.row + 1]
+        if not text.lstrip(" \t").startswith("chosen"):
+            raise ParseError(line, exc.column, exc.message) from None
+        line, text = lines[exc.row + 2]  # at a 'chosen' line, the fault is the line after it
         _tokens(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"unexpected line {text!r}") from None
-    configuration = Auditorium._from_board(len(grid_lines), cols, board)
 
     tokens = _tokens(chosen_line, chosen_text)
     if len(tokens) != 2 or tokens[0][1] != "chosen":

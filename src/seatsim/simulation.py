@@ -1,11 +1,6 @@
-"""Scenario replay and Monte Carlo averaging of entropy trajectories.
-
-A scenario fixes the hall size, who is already seated, and the ordered
-group sizes that arrive one per time step. A trajectory records the
-entropy score after every step, with index 0 holding the score of the
-initial configuration so simulated and recorded curves share an anchored
-origin. Averaged curves come from many independently seeded runs.
-"""
+"""Runs of a :mod:`seatsim.scenario_io` scenario: per-run seeds, one run,
+many runs stepped as lanes and cut into forked shards, their average over
+the seeded runs, and the replay of the recorded seats."""
 
 from __future__ import annotations
 
@@ -13,20 +8,14 @@ import math
 import os
 import random
 import sys
-from contextlib import suppress
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .entropy import entropy
-from .grid import Auditorium, LaneStack, SeatCoord
+from .grid import LaneStack, entropy
 from .policies import NoFeasiblePlacement, select_placement, starts_of
+from .scenario_io import MeanTrajectory, Scenario, Trajectory
 
 _MASK64 = (1 << 64) - 1
-
-#: A trajectory is a plain list of integer entropy scores,
-#: length = number of arrivals + 1.
-Trajectory = list[int]
 
 
 class MissingObservedData(Exception):
@@ -47,61 +36,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     decorrelated rather than sequential.
     """
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ (index & _MASK64))
-
-
-def _row_major(seats):
-    """``seats`` as ``SeatCoord``s in row-major order; seats that are not
-    pairs, or do not compare, are kept as given for ``validate_scenario``."""
-    try:
-        return tuple(sorted(map(SeatCoord._make, seats)))
-    except TypeError:
-        return seats
-
-
-@dataclass
-class Scenario:
-    """Complete simulation input.
-
-    ``initial_occupancy`` seats are taken before step 1; ``arrivals[t-1]``
-    is the size of the group arriving at step t; ``observed``, when
-    present, records the real seats taken at each step (one seat set per
-    arrival, same group sizes). Seats are wrapped as ``SeatCoord`` here and
-    put in row-major order, so equal scenarios compare equal; malformed ones
-    are left for ``validate_scenario``. No hall is kept.
-    """
-
-    rows: int
-    cols: int
-    initial_occupancy: tuple[SeatCoord, ...]
-    arrivals: tuple[int, ...]
-    observed: tuple[tuple[SeatCoord, ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        self.initial_occupancy = _row_major(self.initial_occupancy)
-        with suppress(TypeError):  # what is not iterable is left for ``validate_scenario``
-            self.arrivals = tuple(self.arrivals)
-            if self.observed is not None:
-                self.observed = tuple(map(_row_major, self.observed))
-
-    def initial_auditorium(self) -> Auditorium:
-        """The hall before step 1, built afresh on every call."""
-        return Auditorium(self.rows, self.cols, self.initial_occupancy)
-
-
-@dataclass
-class MeanTrajectory:
-    """Per-step aggregate over Monte Carlo runs.
-
-    ``std`` is the population standard deviation (the runs are the whole
-    population of interest, not a sample from one). All four lists share
-    the trajectory length.
-    """
-
-    mean: list[float]
-    std: list[float]
-    min: list[int]
-    max: list[int]
-    run_count: int
 
 
 def run_once(scenario: Scenario, policy: str, seed: int) -> Trajectory:

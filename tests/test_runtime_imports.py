@@ -1,13 +1,18 @@
-"""The package runs on the standard library alone, as the README promises."""
+"""The package runs on the standard library alone, as the README promises,
+and each decision it makes has one owning module."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((REPO_ROOT / "src" / "seatsim").glob("*.py"))
 
 _LIST_NEW_MODULES = """
 import sys
@@ -78,3 +83,42 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from seatsim import *", namespace)
     assert set(seatsim.__all__) <= set(namespace)
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def _imported(tree, module):
+    """The names a module imports with ``from .<module> import ...``."""
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names]
+
+
+class TestOwnership:
+    """Each decision has one module: the score and the grid text in grid.py,
+    the scenario and its checks in scenario_io.py, the runs in simulation.py."""
+
+    def test_scenario_io_does_not_import_simulation(self):
+        assert _imported(_trees()["scenario_io.py"], "simulation") == []
+
+    def test_only_policies_imports_private_grid_names(self):
+        private = {name: [n for n in _imported(tree, "grid") if n.startswith("_")]
+                   for name, tree in _trees().items()}
+        assert {name for name, names in private.items() if names} == {"policies.py"}
+
+    @pytest.mark.parametrize("attr", ["_entropy", "_from_board"])
+    def test_only_grid_touches_the_hall_state(self, attr):
+        users = {name for name, tree in _trees().items() for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == attr}
+        assert users == {"grid.py"}
+
+    def test_patched_names_are_the_owners(self):
+        # ``bench/tracer.py`` patches these module attributes by name.
+        import seatsim
+        from seatsim import cli, grid, scenario_io, simulation
+
+        assert seatsim.entropy is simulation.entropy is cli.entropy is grid.entropy
+        assert scenario_io.validate_scenario is seatsim.validate_scenario
+        assert not (REPO_ROOT / "src" / "seatsim" / "entropy.py").exists()

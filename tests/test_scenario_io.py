@@ -178,6 +178,15 @@ class TestRoundTrip:
         )
         assert serialize_scenario(parse_scenario(canonical)) == canonical
 
+    def test_plain_seat_pairs_serialize(self):
+        # Set after ``__post_init__``, the seats stay plain pairs, as
+        # ``validate_scenario`` accepts them.
+        sc = Scenario(2, 3, (), (1,), (((1, 1),),))
+        sc.initial_occupancy, sc.observed = ((2, 3),), (((1, 2),),)
+        text = serialize_scenario(sc)
+        assert text == "rows 2\ncols 3\ngrid\n...\n..#\narrivals\n1\nobserved\n1: 1,2\n"
+        assert parse_scenario(text) == Scenario(2, 3, ((2, 3),), (1,), (((1, 2),),))
+
     def test_serialize_rejects_invalid_scenarios(self):
         bad = Scenario(
             rows=1, cols=2, initial_occupancy=((1, 5),), arrivals=()
@@ -528,6 +537,64 @@ class TestGridFaultPrecedence:
             parse_scenario("rows 3\ncols 4\ngrid\n" + "\n".join(grid) + "\n")
         err = exc_info.value
         assert (err.line, err.column, err.message) == (line, column, message)
+
+
+def _fault_precedence_blocks() -> list[list[str]]:
+    """Every grid block of ``TestGridFaultPrecedence``."""
+    tests = (TestGridFaultPrecedence.test_first_faulty_row_wins,
+             TestGridFaultPrecedence.test_fault_in_an_earlier_row_beats_end_of_file_in_the_grid)
+    return [case[0] for test in tests for mark in test.pytestmark
+            if mark.args[0].startswith("grid,") for case in mark.args[1]]
+
+
+@st.composite
+def _ragged_blocks(draw) -> list[str]:
+    """1-4 rows of ``.``, ``#`` and one stray character, some of them
+    ``cols`` long and some of any length from 1 to 6."""
+    stray = draw(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"),
+                               blacklist_characters=".#;"))
+    alphabet, cols = st.sampled_from([".", "#", stray]), draw(st.integers(1, 6))
+    row = st.text(alphabet, min_size=cols, max_size=cols) | st.text(alphabet, min_size=1, max_size=6)
+    return draw(st.lists(row, min_size=1, max_size=4))
+
+
+class TestOneGridChecker:
+    """``Auditorium.from_rows`` checks a grid block as the parsers do, with
+    the width taken from the first row: it accepts the same blocks, with the
+    same board, and a faulty block raises at the same row and column."""
+
+    @staticmethod
+    def check(block: list[str]) -> None:
+        grid = "\n".join(block)
+        scenario = f"rows {len(block)}\ncols {len(block[0])}\ngrid\n{grid}\narrivals\n"
+        free = [(r, s) for r, text in enumerate(block, 1) for s, c in enumerate(text, 1) if c == "."]
+        row, seat = free[0] if free else (1, 1)
+        choices = f"groups 1\ngrid\n{grid}\nchosen {row},{seat}\n"
+        try:
+            hall = Auditorium.from_rows(block)
+        except ValueError as exc:
+            for parser, text, first_line in ((parse_scenario, scenario, 4), (parse_choices, choices, 3)):
+                with pytest.raises(ParseError) as exc_info:
+                    parser(text)
+                err = exc_info.value
+                assert (err.line - first_line + 1, err.column) == (exc.row, exc.column)
+                assert err.message == exc.message
+            return
+        assert parse_scenario(scenario).initial_auditorium() == hall
+        if free and hall.occupied_count:
+            assert parse_choices(choices)[0].configuration == hall
+        else:  # the grid was read; the record has nobody seated or no free seat
+            with pytest.raises(ValidationError):
+                parse_choices(choices)
+
+    @pytest.mark.parametrize("block", _fault_precedence_blocks(), ids=repr)
+    def test_fault_precedence_blocks(self, block):
+        self.check(block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ragged_blocks())
+    def test_ragged_blocks(self, block):
+        self.check(block)
 
 
 # Every line boundary of ``str.splitlines`` other than LF and CRLF.
