@@ -74,16 +74,10 @@ class Placement(NamedTuple):
     start_seat: int
     size: int
 
-    def seats(self) -> tuple[SeatCoord, ...]:
-        """All seats covered by the placement, left to right."""
-        start = self.start_seat
-        return tuple(SeatCoord(self.row, s) for s in range(start, start + self.size))
-
     def min_distance_to(self, coord: SeatCoord) -> int:
         """Smallest Manhattan distance from any covered seat to ``coord``.
 
-        Equivalent to ``min(manhattan_distance(s, coord) for s in seats())``;
-        computed in closed form as point-to-interval distance.
+        Computed in closed form as point-to-interval distance.
         """
         last = self.start_seat + self.size - 1
         return abs(self.row - coord.row) + max(self.start_seat - coord.seat, 0, coord.seat - last)
@@ -182,6 +176,8 @@ class _Board:
         # The seats that start ``size`` seats clear of ``blocked``.
         if size < 1:
             raise ValueError(f"group size must be positive, got {size}")
+        if size > self.cols:  # no run is wider than a row
+            return 0
         free = run = ~blocked & self._valid
         for shift in range(1, size):
             run &= free >> shift
@@ -310,11 +306,6 @@ class Auditorium(_Board):
         """All occupied seats in row-major order."""
         return [SeatCoord(r, s) for r, s in board_cells(self._board, self.cols)]
 
-    def row_mask(self, row: int) -> int:
-        """Occupancy bitmask of one row; bit ``s-1`` is seat ``s``."""
-        self._check_bounds(row, 1)
-        return self._row(row)
-
     def occupy(self, placement: Placement) -> None:
         """Seat a group on ``placement``; every covered seat must be empty.
 
@@ -327,9 +318,9 @@ class Auditorium(_Board):
         row, start, size = placement
         if size < 1:
             raise ValueError(f"group size must be positive, got {size}")
-        # A run from a seat of the hall is free and inside it unless it
-        # meets an occupant, a guard or the bits past the last row.
-        if row > 0 and 0 < start <= self.cols:
+        # A run that starts and ends within a row is free and inside the hall
+        # unless it meets an occupant or the bits past the last row.
+        if row > 0 and 0 < start <= self.cols - size + 1:
             low = (row - 1) * self._width + start - 1
             if not ((1 << size) - 1) << low & (self._board | ~self._valid):
                 self._take(low, size)
@@ -368,12 +359,7 @@ class Auditorium(_Board):
         """The n-th placement of the start set ``starts`` in row-major order,
         ``n = rng.randrange(popcount)``: the same draw as indexing the
         listed placements. ``starts`` must be non-empty."""
-        return self._nth(starts, rng.randrange(starts.bit_count()), size)
-
-    def _nth(self, starts: int, n: int, size: int) -> Placement:
-        """The placement of the n-th set bit of ``starts``, counting from 0
-        in row-major order."""
-        row, seat = divmod(_nth_bit(starts, n), self._width)
+        row, seat = divmod(_nth_bit(starts, rng.randrange(starts.bit_count())), self._width)
         return Placement(row + 1, seat + 1, size)
 
     def _covering(self, point: tuple[int, int], size: int) -> int:

@@ -24,6 +24,12 @@ def occupied_cells(aud: Auditorium) -> list[SeatCoord]:
     ]
 
 
+def placement_seats(placement: Placement) -> list[SeatCoord]:
+    """The seats a placement covers, left to right."""
+    row, start, size = placement
+    return [SeatCoord(row, s) for s in range(start, start + size)]
+
+
 def feasible_placements_bf(aud: Auditorium, size: int) -> list[Placement]:
     found = []
     for r in range(1, aud.rows + 1):
@@ -42,7 +48,7 @@ def _min_distance(seated: list[SeatCoord], placement: Placement) -> float:
         return math.inf
     return min(
         abs(sr - qr) + abs(ss - qs)
-        for sr, ss in placement.seats()
+        for sr, ss in placement_seats(placement)
         for qr, qs in seated
     )
 
@@ -76,7 +82,7 @@ def entropy_bf(aud: Auditorium) -> int:
 
 def placement_point_distance_bf(placement: Placement, coord: SeatCoord) -> int:
     return min(
-        abs(sr - coord.row) + abs(ss - coord.seat) for sr, ss in placement.seats()
+        abs(sr - coord.row) + abs(ss - coord.seat) for sr, ss in placement_seats(placement)
     )
 
 
@@ -170,7 +176,7 @@ def exact_mean_trajectory(scenario: Scenario, policy: str) -> list[Fraction]:
             if not options:
                 raise ValueError(f"no room for a group of {size} at step {step}")
             for placement in options:
-                key = seats | frozenset(placement.seats())
+                key = seats | frozenset(placement_seats(placement))
                 reached[key] = reached.get(key, 0) + mass / len(options)
         boards = reached
         means.append(mean(boards))

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seatsim import cli, simulation
+from seatsim import POLICY_NAMES, cli, simulation
 from seatsim.cli import main
 
 SCENARIO = (
@@ -194,16 +198,29 @@ class TestSimulateCommand:
         assert out == ""
         assert "ValueError" in err
 
-    def test_unseatable_scenario_fails_cleanly(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "arrivals, policy, runs, workers, failure",
+        [("2 2", "random", "2", "1", "group of 2 at step 2"),
+         ("1000000000000", "all", "1000", "1", "group of 1000000000000 at step 1"),
+         ("1000000000000", "all", "1000", "2", "group of 1000000000000 at step 1")],
+        ids=["pairs", "wider-w1", "wider-w2"],
+    )
+    def test_unseatable_scenario_fails_cleanly(
+        self, capsys, tmp_path, monkeypatch, arrivals, policy, runs, workers, failure
+    ):
+        # No run is wider than a row, so a group wider than the hall fails in
+        # time bounded by the hall, on the lanes and on the run-by-run replay.
+        monkeypatch.setattr(simulation, "_cpus", lambda: [0, 1])
         path = tmp_path / "tiny.scenario"
-        path.write_text("rows 1\ncols 3\ngrid\n...\narrivals\n2 2\n", encoding="utf-8")
-        code, _, err = run_cli(
-            capsys, "simulate", "--scenario", str(path), "--policy", "random",
-            "--runs", "2",
+        path.write_text(f"rows 1\ncols 3\ngrid\n...\narrivals\n{arrivals}\n", encoding="utf-8")
+        began = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path), "--policy", policy,
+            "--runs", runs, "--workers", workers,
         )
-        assert code == 1
-        assert "NoFeasiblePlacement" in err
-
+        assert time.perf_counter() - began < 1
+        assert (code, out) == (1, "")
+        assert err == f"seatsim: error: NoFeasiblePlacement: run 0: no room for a {failure}\n"
 
     def test_failure_in_a_worker_fails_cleanly(self, capsys, tmp_path, monkeypatch):
         # 1x3 hall, groups 1 then 2: a run fails when the first person sits
@@ -261,6 +278,72 @@ class TestAnalyzeCommand:
         )
         assert code == 1
         assert "EmptyInput" in err
+
+
+_DATA = Path(__file__).resolve().parent.parent / "data"
+_PIECES = st.tuples(
+    st.sampled_from(["", " "]),
+    st.sampled_from([
+        "rows", "cols", "grid", "arrivals", "observed", "groups", "chosen",
+        "0", "1", "-1", "2", "14", "007", "1_0", "+3", "1000000000000", "1,1", "3:", ";",
+        "\t", "  ", "\r", "\n", "\x0b", "\x0c", "\xa0", "\u2028", "\ufeff",
+    ]),
+    st.sampled_from(["", " "]),
+).map("".join)
+
+
+@st.composite
+def _mutated(draw, name):
+    """The text of a shipped data file with 1-4 edits: a keyword, number or
+    odd whitespace put into a line, or a line deleted or duplicated."""
+    lines = (_DATA / name).read_text(encoding="utf-8").split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if action == "insert":
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + draw(_PIECES) + lines[at][cut:]
+        elif action == "delete" and len(lines) > 1:
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return "\n".join(lines)
+
+
+_SCENARIO_COMMANDS = [
+    *(["simulate", "--runs", "5", "--policy", policy] for policy in (*POLICY_NAMES, "all")),
+    ["replay"],
+    ["entropy"],
+]
+_CASES = st.one_of(
+    st.tuples(st.sampled_from(_SCENARIO_COMMANDS), st.just("--scenario"),
+              _mutated("fig1.scenario")),
+    st.tuples(st.sampled_from([["analyze", "--metric", m] for m in ("nearest", "center")]),
+              st.just("--choices"), _mutated("sample.choices")),
+)
+
+
+class TestCommandFuzz:
+    """Mutated shipped inputs make every command exit 0, or exit 1 with one
+    ``seatsim: error:`` line on stderr and no traceback."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_CASES)
+    def test_commands_fail_only_with_one_error_line(self, tmp_path_factory, case):
+        command, flag, text = case
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, flag, str(path)])
+        err = err.getvalue()
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("seatsim: error: ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert "Traceback" not in err
 
 
 class TestErrorPaths:

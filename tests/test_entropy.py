@@ -102,10 +102,8 @@ def test_upper_bound_attained_only_by_alternating_grid():
     for _ in range(200):
         aud = random_auditorium(rng, max_rows=7, max_cols=14, max_density=1.0)
         if entropy(aud) == aud.rows * (aud.cols - 1) ** 2 and aud.cols > 1:
-            for r in range(1, aud.rows + 1):
-                mask = aud.row_mask(r)
-                flags = [bool(mask >> s & 1) for s in range(aud.cols)]
-                assert all(flags[i] != flags[i + 1] for i in range(len(flags) - 1))
+            for row in aud.to_rows():
+                assert all(row[i] != row[i + 1] for i in range(len(row) - 1))
 
 
 def test_single_seat_addition_changes_one_row_by_bounded_amount():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +30,7 @@ from support import (
     mirrored,
     occupied_cells,
     placement_point_distance_bf,
+    placement_seats,
     random_auditorium,
 )
 
@@ -411,7 +414,7 @@ class TestNth:
             cells = list(board_cells(starts, cols))
             size = rng.randint(1, 3)
             for n, (row, seat) in enumerate(cells):
-                assert hall._nth(starts, n, size) == Placement(row, seat, size)
+                assert hall._draw(starts, size, _FixedDraw(n)) == Placement(row, seat, size)
 
 
 @st.composite
@@ -539,7 +542,7 @@ class TestOccupy:
             pl = options[rng.randrange(len(options))]
             aud.occupy(pl)
             assert aud.occupied_count == before + pl.size
-            seen.update(pl.seats())
+            seen.update(placement_seats(pl))
             assert all(aud.is_occupied(*c) for c in seen)
 
     def test_occupy_seats_rejects_duplicates(self):
@@ -568,7 +571,7 @@ class TestOccupy:
             )
             whole, seatwise = aud.copy(), aud.copy()
             assert outcome(whole, lambda: whole.occupy(pl)) == outcome(
-                seatwise, lambda: seatwise.occupy_seats(pl.seats())
+                seatwise, lambda: seatwise.occupy_seats(placement_seats(pl))
             )
 
     @pytest.mark.parametrize("size", [0, -1])
@@ -581,6 +584,26 @@ class TestOccupy:
             aud.occupy(Placement(row, 1, size))
         assert aud == before
         assert (aud.occupied_count, entropy(aud)) == (before.occupied_count, entropy(before))
+
+    @pytest.mark.parametrize(
+        "placement, error, message",
+        [
+            (Placement(1, 1, 10**12), ValueError, "seat (1,15) outside 7x14 auditorium"),
+            (Placement(1, 14, 10**12), ValueError, "seat (1,15) outside 7x14 auditorium"),
+            (Placement(8, 1, 10**12), ValueError, "seat (8,1) outside 7x14 auditorium"),
+            (Placement(2, 1, 10**12), SeatConflict, "seat (2,4) is already occupied"),
+        ],
+    )
+    def test_group_wider_than_a_row_fails_at_once(self, placement, error, message):
+        # As seat by seat, the first seat that is taken or off the hall decides
+        # the error, found without building a run as wide as the group.
+        aud = Auditorium(7, 14, [(2, 4)])
+        before = aud.copy()
+        began = time.perf_counter()
+        with pytest.raises(error, match=re.escape(message)):
+            aud.occupy(placement)
+        assert time.perf_counter() - began < 1
+        assert aud == before
 
     def test_out_of_bounds_rejected(self):
         aud = Auditorium(2, 2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -46,10 +47,18 @@ class TestSharedContract:
         assert select_placement(policy, aud, 1, rng) == Placement(1, 2, 1)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_full_auditorium_raises(self, policy):
-        aud = Auditorium.from_rows(["##", "##"])
+    @pytest.mark.parametrize(
+        "rows, size",
+        [(["##", "##"], 1), (["..."], 10**12), (["...", ".#."], 10**12)],
+        ids=["full", "wider-empty", "wider-seated"],
+    )
+    def test_no_room_raises(self, policy, rows, size):
+        # A group wider than a row finds no room in time bounded by the hall.
+        aud = Auditorium.from_rows(rows)
+        began = time.perf_counter()
         with pytest.raises(NoFeasiblePlacement):
-            select_placement(policy, aud, 1, random.Random(0))
+            select_placement(policy, aud, size, random.Random(0))
+        assert time.perf_counter() - began < 1
 
     def test_rule_order(self):
         # The order ``--policy all`` runs the rules in and the ``unknown
