@@ -32,6 +32,7 @@ from .scenario_io import (
     ValidationError,
     emit_trajectories_csv,
     parse_choices,
+    parse_int,
     parse_scenario,
 )
 from .simulation import MissingObservedData, replay_observed, run_many
@@ -50,6 +51,14 @@ _DATA_ERRORS = (
 )
 
 
+def _integer(text: str) -> int:
+    """A flag's number, read as the file formats read one."""
+    try:
+        return parse_int(text, 1, 1, "value")  # the flag's text as a one-line file
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seatsim",
@@ -66,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", required=True, choices=[*POLICY_NAMES, "all"],
         help="selection rule to simulate, or 'all' for every rule",
     )
-    simulate.add_argument("--runs", type=int, default=1000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--runs", type=_integer, default=1000)
+    simulate.add_argument("--seed", type=_integer, default=0)
     simulate.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     simulate.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_integer, default=1,
         help="processes to share the runs (N >= 1; capped at the usable CPUs); "
         "the output is the same for any N",
     )
@@ -87,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--choices", required=True, type=Path)
     analyze.add_argument("--metric", required=True, choices=["nearest", "center"])
     analyze.add_argument(
-        "--min-groups", type=int, default=2,
+        "--min-groups", type=_integer, default=2,
         help="for --metric center: drop records with fewer seated groups",
     )
     return parser

@@ -11,8 +11,11 @@ decodes. A set of same-size placements is one int the same way, a bit per
 start seat. A board (``_Board``) packs halls of one size into one int, a
 lane each: an :class:`Auditorium` is its hall's one lane; a
 :class:`LaneStack` gives each copy of a hall its rows and a padding row,
-rounded up to whole bytes so that one ``to_bytes``/``from_bytes`` splits
-or packs every lane. Free runs of k seats start where ``f & f>>1 & ... &
+rounded up to whole fields. A field is the fewest whole bytes whose top bit
+stays clear of every count up to ``rows * cols`` (one byte up to 127 seats,
+two up to 32767), so one ``to_bytes``/``from_bytes`` splits or packs every
+lane, and counts summed or compared a field at a time never carry or borrow
+into the next field. Free runs of k seats start where ``f & f>>1 & ... &
 f>>(k-1)`` is set, ``f`` being the free seats; no run crosses a guard or a
 lane's end. Growing the occupants one Manhattan step at a time (``g | g<<1
 | g>>1 | g<<W | g>>W``, masked to the seats, ``_Board._grow``) d times
@@ -22,7 +25,10 @@ occupant, in every lane at once. A lane's top bit is never a seat, so
 ``(x + fill) & tops`` (``fill`` all ones below each top bit) marks the
 lanes where ``x`` is non-empty and ``marks - (marks >> top)`` widens them,
 for the rules to test and merge start sets per lane (``_Board._covers``,
-``_Board._or``).
+``_Board._or``). ``LaneStack.take`` counts every lane's starts and finds
+every lane's drawn start with a fixed number of such operations on fields,
+then writes each drawn start as one bit of a one-hot byte string; that
+times ``(1 << size) - 1`` is every lane's new run.
 
 A grid block's text is the board (:func:`read_grid`, which checks it): its
 rows of ``.``/``#`` joined by LF, reversed and read in binary with ``.``,
@@ -425,33 +431,118 @@ def entropy(aud: Auditorium) -> int:
     return aud._entropy
 
 
+def _byte_bits() -> tuple[tuple[int, ...], ...]:
+    """The positions of the set bits of each byte value, lowest first."""
+    table: list[tuple[int, ...]] = [()]
+    for bit in range(8):
+        table += [bits + (bit,) for bits in table]
+    return tuple(table)
+
+
+_BYTE_BITS = _byte_bits()
+
+
 class LaneStack(_Board):
     """Copies of one hall (``halls``) as the lanes of ``_board``, on which a
     rule's start-set function gives each hall's start set in its lane. Every
     hall has seated as many people, the board's popcount over the lane count,
-    so an empty ``_board``, or no center of mass, is every lane's."""
+    so an empty ``_board``, or no center of mass, is every lane's.
+
+    A lane is ``_bytes`` bytes, whole fields of ``_field`` bytes: the fewest
+    whose top bit stays clear of ``rows * cols``, the most starts a lane
+    holds. No count ``take`` sums in a field, nor its borrow through the top
+    bit, reaches the next field.
+    """
 
     def __init__(self, hall: Auditorium, lanes: int):
-        self._bytes = ((hall.rows + 1) * hall._width + 7) // 8
+        width = (hall.rows * hall.cols).bit_length() // 8 + 1  # bytes per field
+        per_lane = -(-(hall.rows + 1) * hall._width // (8 * width))  # fields per lane
+        self._field, self._bytes = width, per_lane * width
         top = 8 * self._bytes - 1
         ones = ((1 << (top + 1) * lanes) - 1) // ((1 << top + 1) - 1)  # bit 0 of each lane
         super().__init__(hall.rows, hall.cols, top, ones)
         self.halls = [hall.copy() for _ in range(lanes)]
         self._board = hall._board * ones
+        # ``take``'s masks: each byte's bit pairs, nibbles and low nibble; bit 0
+        # of each field (of one lane: ``_lane_units``), its low byte and its top
+        # bit; bit 0 of each lane's top field; for the sums along each lane, its
+        # fields from the 1st, 2nd, 4th, ... on.
+        total, unit, bits = lanes * self._bytes, b"\1" + bytes(width - 1), 8 * width
+        self._swar = [int.from_bytes(bytes([m]) * total, "little") for m in (0x55, 0x33, 0x0F)]
+        self._units = int.from_bytes(unit * (per_lane * lanes), "little")
+        self._lane_units = int.from_bytes(unit * per_lane, "little")
+        self._low, self._high = self._units * 255, self._units << bits - 1
+        self._top_units = ones << top + 1 - bits
+        self._scan = [(bits << k, ((1 << top + 1) - (1 << (bits << k))) * ones)
+                      for k in range((per_lane - 1).bit_length())]
 
     def take(
         self, starts: int, size: int, rngs: Sequence[random.Random], trajectories: list[list[int]]
     ) -> None:
         """Seat ``size`` people in each hall, on a start its rng draws from its
-        lane, and append the hall's new entropy score to its trajectory."""
-        step, data = self._bytes, starts.to_bytes(self._bytes * len(self.halls), "little")
-        boards, lanes = [], zip(range(0, len(data), step), self.halls, rngs, trajectories)
-        for i, hall, rng, trajectory in lanes:
-            lane = int.from_bytes(data[i:i + step], "little")
-            hall._take(_nth_bit(lane, rng.randrange(lane.bit_count())), size)
+        lane, and append the hall's new entropy score to its trajectory.
+
+        Broadword rank and select (S. Vigna, WEA 2008; Knuth, TAOCP 4A,
+        7.1.3) count and find every lane's starts at once, in a number of
+        operations on the whole stack that does not grow with the lanes:
+        - count: each byte's popcount is summed into its field, then along
+          the lane by shift-adds masked to it, so each field holds the lane's
+          starts up to its end and the lane's top field its count;
+        - draw: lane by lane in run order, ``n = rng.randrange(count)``;
+        - select: spread to its lane's fields by one multiply, ``n`` marks the
+          bytes with at most ``n`` starts before them, whose field's top bit
+          stays set in ``n + 2**(8*_field - 1) - before``. One multiply each sums
+          into the lane's top field the marked bytes, of which the drawn
+          start's is the last, and their starts, which less ``n`` is the
+          start's rank from its byte's top; a table of each byte's set bits
+          decodes it.
+        Each hall seats its run (``Auditorium._take``), and the drawn starts,
+        a bit each in a one-hot byte string, times the run give the board
+        every lane's new run.
+        """
+        step, width, lanes = self._bytes, self._field, len(self.halls)
+        m1, m2, m4 = self._swar
+        pops = starts - (starts >> 1 & m1)
+        pops = (pops & m2) + (pops >> 2 & m2)
+        pops = pops + (pops >> 4) & m4  # each byte's popcount
+        parts = [pops >> 8 * o & self._low for o in range(width)]  # byte o of each field
+        sums = ends = sum(parts)  # each field's starts
+        for shift, keep in self._scan:
+            ends += ends << shift & keep  # the lane's starts up to each field's end
+        draws = b"".join([rng.randrange(count).to_bytes(width, "little")
+                          for rng, count in zip(rngs, self._top_fields(ends))])
+        picks = bytearray(step * lanes)
+        for o in range(width):
+            picks[o::step] = draws[o::width]
+        drawn = int.from_bytes(picks, "little")  # each lane's n in its field 0
+        spread = drawn * self._lane_units | self._high
+        before = ends - sums  # the lane's starts before each field, then before its byte o
+        marked = seen = 0
+        for part in parts:
+            marks = (spread - before) >> 8 * width - 1 & self._units
+            marked += marks
+            seen += part & marks * 255
+            before += part
+        targets = self._top_fields(marked * self._lane_units - self._top_units)
+        ranks = self._top_fields(seen * self._lane_units - (drawn << 8 * (step - width)))
+        data, onehot = starts.to_bytes(step * lanes, "little"), bytearray(step * lanes)
+        for i, byte, rank, hall, trajectory in zip(
+                range(0, len(data), step), targets, ranks, self.halls, trajectories):
+            bit = _BYTE_BITS[data[i + byte]][-rank]
+            hall._take(8 * byte + bit, size)
             trajectory.append(hall._entropy)
-            boards.append(hall._board.to_bytes(step, "little"))
-        self._board = int.from_bytes(b"".join(boards), "little")
+            onehot[i + byte] = 1 << bit
+        self._board |= int.from_bytes(onehot, "little") * ((1 << size) - 1)
+
+    def _top_fields(self, x: int) -> Sequence[int]:
+        # Each lane's top field of ``x``; what runs past the last lane is left out.
+        step, width = self._bytes, self._field
+        end = step * len(self.halls)
+        data = x.to_bytes(end + step, "little")
+        tops: Sequence[int] = data[step - width:end:step]
+        for o in range(1, width):
+            tops = [t | b << 8 * o for t, b in zip(tops, data[step - width + o:end:step])]
+        return tops
 
     def _pack(self, lanes: list[int]) -> int:
         step = self._bytes

@@ -185,11 +185,16 @@ def _tokens(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
     return tokens
 
 
-def _parse_int(token: str, line: int, column: int, what: str) -> int:
-    if token.isascii() and "_" not in token:  # ``int`` also takes 1_0 and non-ASCII digits
+def parse_int(token: str, line: int, column: int, what: str) -> int:
+    """The number ``token`` spells, by the one rule for numbers in the file
+    formats and in the command line's flags: ASCII digits with an optional
+    sign (``int`` alone also reads ``1_0``, spaces around and non-ASCII
+    digits). Anything else raises :class:`ParseError` at ``line``, ``column``
+    naming ``what``."""
+    if token.isascii() and (token.isdigit() or token[:1] in ("+", "-") and token[1:].isdigit()):
         try:
             return int(token)
-        except ValueError:
+        except ValueError:  # more digits than ``int`` reads
             pass
     raise ParseError(line, column, f"{what} must be an integer, got {token!r}")
 
@@ -203,7 +208,7 @@ def _int_field(item: tuple[int, str], keyword: str) -> int:
     if len(tokens) != 2:
         raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
     column, value = tokens[1]
-    return _parse_int(value, line, column, keyword)
+    return parse_int(value, line, column, keyword)
 
 
 def _keyword(item: tuple[int, str], keyword: str) -> None:
@@ -220,8 +225,8 @@ def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
     if not comma or not row_part or not seat_part:
         raise ParseError(line, column, f"expected 'row,seat', got {token!r}")
     return (
-        _parse_int(row_part, line, column, "row"),
-        _parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
+        parse_int(row_part, line, column, "row"),
+        parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
     )
 
 
@@ -252,7 +257,7 @@ def parse_scenario(text: str) -> Scenario:
     item = cur.peek()
     if item is not None and item[1].strip(" \t") != "observed":
         line, text = cur.take("arrival sizes")
-        arrivals = [_parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
+        arrivals = [parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
 
     observed: list[list[tuple[int, int]]] | None = None
     item = cur.peek()
@@ -265,7 +270,7 @@ def parse_scenario(text: str) -> Scenario:
             tokens = _tokens(line, text, len(head) + 1)
             if not colon:
                 raise ParseError(line, 1, "expected '<step>: row,seat ...'")
-            step = _parse_int(head.strip(), line, 1, "step number")
+            step = parse_int(head.strip(), line, 1, "step number")
             if step != len(observed) + 1:
                 raise ValidationError(
                     f"line {line}: observed step {step} out of order, expected {len(observed) + 1}"

@@ -183,6 +183,9 @@ def run_many(
     in index order and a failure reports the lowest failing run, so the
     result is the same for every worker count.
     """
+    for name, value in (("runs", runs), ("workers", workers)):
+        if type(value) is not int:  # ``True`` would pass as 1
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if workers < 1:

@@ -198,6 +198,32 @@ class TestSimulateCommand:
         assert out == ""
         assert "ValueError" in err
 
+    # ``int`` alone reads all of these; a number in the files may not be spelled so.
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660", "\uff12", " 5", "5\n", "0x10", ""])
+    @pytest.mark.parametrize("flag", ["--runs", "--seed", "--workers"])
+    def test_integer_flags_follow_the_file_rule(self, capsys, scenario_file, flag, value):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--scenario", str(scenario_file), "--policy", "max", flag, value,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: argument {flag}: value must be an integer, got {value!r}\n" in err
+
+    def test_signed_flags_stay_numbers(self, capsys, scenario_file):
+        # A sign is part of the rule: ``--seed -1`` and ``--runs +4`` keep working.
+        outs = []
+        for seed in ("-1", "18446744073709551615"):
+            code, out, err = run_cli(
+                capsys,
+                "simulate", "--scenario", str(scenario_file), "--policy", "random",
+                "--runs", "+4", "--seed", seed,
+            )
+            assert (code, err) == (0, "")
+            outs.append(out)
+        # Seeds are taken mod 2**64, so -1 and 2**64 - 1 are the same seed.
+        assert outs[0] == outs[1] and outs[0].count("\n") == 1 + 3 * 2
+
     @pytest.mark.parametrize(
         "arrivals, policy, runs, workers, failure",
         [("2 2", "random", "2", "1", "group of 2 at step 2"),
@@ -269,6 +295,17 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         assert sum(int(line.split(",")[1]) for line in out.splitlines()[1:]) == 2
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0662", " 2"])
+    def test_min_groups_follows_the_file_rule(self, capsys, choices_file, value):
+        code, out, err = run_cli(
+            capsys,
+            "analyze", "--choices", str(choices_file), "--metric", "center",
+            "--min-groups", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: argument --min-groups: value must be an integer, got {value!r}\n" in err
 
     def test_empty_choices_file(self, capsys, tmp_path):
         path = tmp_path / "empty.choices"

@@ -20,7 +20,7 @@ from seatsim import (
     parse_scenario,
     policies,
 )
-from seatsim.grid import LaneStack, board_cells
+from seatsim.grid import LaneStack, _nth_bit, board_cells
 from support import (
     center_of_mass_bf,
     entropy_bf,
@@ -503,6 +503,94 @@ class TestLaneBalls:
                 hall._set_board(board)
             stack._board = stack._pack(boards)
             self._assert_balls_cover_centers(stack)
+
+
+_DRAWS = {
+    "first": lambda count, rng: 0,
+    "last": lambda count, rng: count - 1,
+    "any": lambda count, rng: rng.randrange(count),
+}
+
+
+class TestLaneSelect:
+    """``LaneStack.take`` counts each lane's starts and finds its drawn one
+    for every lane at once; lane by lane, the count must be ``bit_count``
+    and the seated start ``_nth_bit`` of the lane's starts."""
+
+    @staticmethod
+    def _check_take(stack, lanes, size, draw, rng):
+        """Take one step from the start sets ``lanes`` (one per hall, each
+        non-empty and free for ``size`` seats), drawing ``draw(count, rng)``."""
+        counts = [lane.bit_count() for lane in lanes]
+        draws = [_FixedDraw(draw(count, rng)) for count in counts]
+        before = [hall._board for hall in stack.halls]
+        trajectories = [[] for _ in lanes]
+        stack.take(stack._pack(lanes), size, draws, trajectories)
+        for lane, count, fixed, board, hall, trajectory in zip(
+                lanes, counts, draws, before, stack.halls, trajectories):
+            assert fixed.stops == [count]
+            run = ((1 << size) - 1) << _nth_bit(lane, fixed.n)
+            assert hall._board == board | run
+            assert trajectory == [hall._entropy]
+        assert stack._board == stack._pack([hall._board for hall in stack.halls])
+
+    @staticmethod
+    def _some_starts(hall, size, rng, density):
+        """A non-empty random subset of the hall's free starts for ``size``."""
+        free = hall._run_starts(hall._board, size)
+        picked = sum(1 << bit for bit in range(free.bit_length())
+                     if free >> bit & 1 and rng.random() < density)
+        return picked or free & -free
+
+    @pytest.mark.parametrize("draw", _DRAWS)
+    @pytest.mark.parametrize("lanes", [1, 2, 9, 40])
+    def test_fig1_stacks_random_and_stepped(self, fig1_scenario, draw, lanes):
+        rng = random.Random(lanes)
+        stack = LaneStack(fig1_scenario.initial_auditorium(), lanes)
+        assert stack._field == 1
+        rngs = [random.Random(seed) for seed in range(lanes)]
+        for size in fig1_scenario.arrivals:
+            density = rng.choice([0.05, 0.3, 1.0])
+            sets = [self._some_starts(hall, size, rng, density) for hall in stack.halls]
+            self._check_take(stack, sets, size, _DRAWS[draw], rng)
+            # A seeded step of the random rule moves the stack on.
+            stack.take(policies.random_starts(stack, size), size, rngs, [[] for _ in rngs])
+
+    @pytest.mark.parametrize("draw", _DRAWS)
+    @pytest.mark.parametrize("lanes", [1, 5])
+    def test_wide_fields_hold_more_than_127_starts(self, draw, lanes):
+        rng = random.Random(2040 + lanes)
+        stack = LaneStack(Auditorium(20, 40, [(3, 4), (11, 30), (20, 40)]), lanes)
+        assert stack._field == 2 and stack._bytes % 2 == 0
+        for size in (1, 3, 1, 4):
+            sets = [self._some_starts(hall, size, rng, rng.choice([0.3, 0.9, 1.0]))
+                    for hall in stack.halls]
+            assert min(lane.bit_count() for lane in sets) > 127
+            self._check_take(stack, sets, size, _DRAWS[draw], rng)
+
+    @pytest.mark.parametrize("rows, cols, width", [(1, 127, 1), (1, 128, 2), (3, 42, 1),
+                                                   (1, 1, 1), (181, 181, 2), (182, 181, 3)])
+    def test_field_width_follows_the_seat_count(self, rows, cols, width):
+        # The fewest bytes whose top bit stays clear of rows * cols, the most starts a lane holds.
+        stack = LaneStack(Auditorium(rows, cols), 2)
+        assert stack._field == width
+        assert stack._bytes % width == 0
+        assert 8 * stack._bytes >= (rows + 1) * (cols + 1)
+        if rows * cols < 1000:
+            every = stack._valid & ((1 << 8 * stack._bytes) - 1)
+            self._check_take(stack, [every, every], 1, _DRAWS["last"], None)
+
+    @pytest.mark.parametrize("lanes", [1, 3, 16])
+    def test_lanes_with_exactly_one_start(self, lanes):
+        # Each lane's one start: the hall's first seat, its last seat or another.
+        rng = random.Random(lanes)
+        for rows, cols in ((7, 14), (20, 40), (1, 1), (2, 7)):
+            stack = LaneStack(Auditorium(rows, cols), lanes)
+            seats = list(board_cells(stack.halls[0]._valid, cols))
+            picks = [seats[0], seats[-1], *rng.sample(seats, min(len(seats), 2))]
+            sets = [1 << (row - 1) * (cols + 1) + seat - 1
+                    for row, seat in (rng.choice(picks) for _ in range(lanes))]
+            self._check_take(stack, sets, 1, _DRAWS["first"], rng)
 
 
 class TestOccupy:

@@ -164,6 +164,17 @@ class TestRunMany:
         with pytest.raises(ValueError):
             run_many(small_scenario(), "random", 0, 0)
 
+    @pytest.mark.parametrize("runs, workers, message", [
+        (True, 1, "runs must be an integer, got True"),
+        (False, 1, "runs must be an integer, got False"),
+        (4, True, "workers must be an integer, got True"),
+        (2.0, 1, "runs must be an integer, got 2.0"),
+    ])
+    def test_rejects_a_count_that_is_not_an_int(self, runs, workers, message):
+        # ``bool`` is an ``int`` subclass: ``True`` would run once as ``run_count=True``.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_many(small_scenario(), "random", runs, 0, workers=workers)
+
     @pytest.mark.parametrize("runs", [3, 8])
     def test_unknown_policy_raises_without_arrivals(self, runs):
         sc = Scenario(rows=2, cols=3, initial_occupancy=(), arrivals=())
