@@ -236,8 +236,7 @@ class Auditorium(_Board):
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
         super().__init__(rows, cols, rows * (cols + 1), 1)
         self._board = self._row_sum = self._seat_sum = self._entropy = 0
-        if occupied:  # ``_from_board`` builds an empty hall for every choice record
-            self.occupy_seats(occupied)
+        self.occupy_seats(occupied)
 
     @classmethod
     def _from_board(cls, rows: int, cols: int, board: int) -> Auditorium:
@@ -488,7 +487,7 @@ class LaneStack(_Board):
         - count: each byte's popcount is summed into its field, then along
           the lane by shift-adds masked to it, so each field holds the lane's
           starts up to its end and the lane's top field its count;
-        - draw: lane by lane in run order, ``n = rng.randrange(count)``;
+        - draw: lane by lane in run order, ``n = rng.randrange(count)``, packed by ``_pack``;
         - select: spread to its lane's fields by one multiply, ``n`` marks the
           bytes with at most ``n`` starts before them, whose field's top bit
           stays set in ``n + 2**(8*_field - 1) - before``. One multiply each sums
@@ -509,12 +508,8 @@ class LaneStack(_Board):
         sums = ends = sum(parts)  # each field's starts
         for shift, keep in self._scan:
             ends += ends << shift & keep  # the lane's starts up to each field's end
-        draws = b"".join([rng.randrange(count).to_bytes(width, "little")
-                          for rng, count in zip(rngs, self._top_fields(ends))])
-        picks = bytearray(step * lanes)
-        for o in range(width):
-            picks[o::step] = draws[o::width]
-        drawn = int.from_bytes(picks, "little")  # each lane's n in its field 0
+        drawn = self._pack([rng.randrange(count)  # each lane's n in its field 0
+                            for rng, count in zip(rngs, self._top_fields(ends))])
         spread = drawn * self._lane_units | self._high
         before = ends - sums  # the lane's starts before each field, then before its byte o
         marked = seen = 0

@@ -576,9 +576,8 @@ class TestLaneSelect:
         assert stack._field == width
         assert stack._bytes % width == 0
         assert 8 * stack._bytes >= (rows + 1) * (cols + 1)
-        if rows * cols < 1000:
-            every = stack._valid & ((1 << 8 * stack._bytes) - 1)
-            self._check_take(stack, [every, every], 1, _DRAWS["last"], None)
+        every = stack._valid & ((1 << 8 * stack._bytes) - 1)
+        self._check_take(stack, [every, every], 1, _DRAWS["last"], None)
 
     @pytest.mark.parametrize("lanes", [1, 3, 16])
     def test_lanes_with_exactly_one_start(self, lanes):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import math
 import os
 import random
@@ -584,6 +585,37 @@ class TestShards:
         with pytest.raises(RuntimeError, match="shard 1") as exc_info:
             run_many(small_scenario(), "random", 10, 0, workers=2)
         assert "without a result" in str(exc_info.value)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("affinity", ["missing", "refused"])
+    def test_forks_without_cpu_affinity(self, fig1_scenario, forks, monkeypatch, affinity):
+        # Where the OS has no affinity calls, the CPU count bounds the shards;
+        # where it refuses a pin, the pin is skipped. Either way the work is the same.
+        serial = run_many(fig1_scenario, "center", 40, 3, workers=1)
+        if affinity == "missing":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+            cpus = os.cpu_count() or 1
+        else:
+            def refuse(pid, cpus):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+            cpus = len(simulation._cpus())
+        assert run_many(fig1_scenario, "center", 40, 3, workers=2) == serial
+        assert len(forks) == min(2, cpus) - 1
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_parent_gets_its_cpus_back(self, fig1_scenario):
+        # The parent pins itself off its children's CPUs while they run.
+        before = os.sched_getaffinity(0)
+        assert simulation._cpus() == sorted(before)
+        run_many(fig1_scenario, "center", 40, 3, workers=2)
+        assert os.sched_getaffinity(0) == before
+        with pytest.raises(NoFeasiblePlacement):
+            run_many(TIGHT, "random", TIGHT_RUNS, _tight_seed(True), workers=2)
+        assert os.sched_getaffinity(0) == before
         assert_no_child_left()
 
 
