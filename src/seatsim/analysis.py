@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from .grid import Auditorium, Placement, SeatCoord, manhattan_distance
 
 
-class EmptyInput(Exception):
+class EmptyInput(ValueError):
     """No records were supplied."""
 
 
-class AllRecordsFiltered(Exception):
+class AllRecordsFiltered(ValueError):
     """The group-count filter removed every record."""
 
 

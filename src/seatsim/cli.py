@@ -18,37 +18,17 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import (
-    AllRecordsFiltered,
-    EmptyInput,
-    center_distance_histogram,
-    nearest_distance_histogram,
-)
-from .grid import SeatConflict, entropy
-from .policies import POLICY_NAMES, NoFeasiblePlacement
+from .analysis import center_distance_histogram, nearest_distance_histogram
+from .grid import entropy
+from .policies import POLICY_NAMES
 from .scenario_io import (
-    LengthMismatch,
     ParseError,
-    ValidationError,
     emit_trajectories_csv,
     parse_choices,
     parse_int,
     parse_scenario,
 )
-from .simulation import MissingObservedData, replay_observed, run_many
-
-_DATA_ERRORS = (
-    ParseError,
-    ValidationError,
-    LengthMismatch,
-    EmptyInput,
-    AllRecordsFiltered,
-    MissingObservedData,
-    NoFeasiblePlacement,
-    SeatConflict,
-    OSError,
-    ValueError,  # bad flag values surfaced by the library, e.g. --runs 0
-)
+from .simulation import replay_observed, run_many
 
 
 def _integer(text: str) -> int:
@@ -57,6 +37,18 @@ def _integer(text: str) -> int:
         return parse_int(text, 1, 1, "value")  # the flag's text as a one-line file
     except ParseError as exc:
         raise argparse.ArgumentTypeError(exc.message) from None
+
+
+def _read(path: Path) -> str:
+    """The file's text as stored, so a lone CR reaches the parser; a byte
+    that is not UTF-8 is a :class:`ParseError` at its line and column."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[: exc.start].decode("utf-8").split("\n")  # valid up to the bad byte
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ParseError(len(lines), len(lines[-1]) + 1, message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario.read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read(args.scenario))
     policies = list(POLICY_NAMES) if args.policy == "all" else [args.policy]
     named: list = [
         (policy, run_many(scenario, policy, args.runs, args.seed, workers=args.workers))
@@ -120,19 +112,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trajectory = replay_observed(parse_scenario(args.scenario.read_text(encoding="utf-8")))
+    trajectory = replay_observed(parse_scenario(_read(args.scenario)))
     sys.stdout.write(emit_trajectories_csv([("real", trajectory)]))
     return 0
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario.read_text(encoding="utf-8"))
+    scenario = parse_scenario(_read(args.scenario))
     print(entropy(scenario.initial_auditorium()))
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    records = parse_choices(args.choices.read_text(encoding="utf-8"))
+    records = parse_choices(_read(args.choices))
     if args.metric == "nearest":
         histogram = nearest_distance_histogram(records)
     else:
@@ -165,7 +157,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _DATA_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # every bad-input error is a ValueError
         print(f"seatsim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

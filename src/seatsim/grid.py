@@ -51,7 +51,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
-class SeatConflict(Exception):
+class SeatConflict(ValueError):
     """An already occupied seat would be occupied a second time."""
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 from .grid import Auditorium, Placement, _Board
 
 
-class NoFeasiblePlacement(Exception):
+class NoFeasiblePlacement(ValueError):
     """The group cannot be seated anywhere; scenarios must not get here."""
 
     def __init__(self, message: str, step: int | None = None, run: int | None = None):

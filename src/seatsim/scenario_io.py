@@ -118,7 +118,7 @@ class MeanTrajectory:
     run_count: int
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed input text; carries the 1-based line and column."""
 
     def __init__(self, line: int, column: int, message: str):
@@ -128,11 +128,11 @@ class ParseError(Exception):
         self.message = message
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     """Well-formed input that violates a scenario or choices constraint."""
 
 
-class LengthMismatch(Exception):
+class LengthMismatch(ValueError):
     """Trajectories with different step counts were emitted together."""
 
 

@@ -18,7 +18,7 @@ from .scenario_io import MeanTrajectory, Scenario, Trajectory
 _MASK64 = (1 << 64) - 1
 
 
-class MissingObservedData(Exception):
+class MissingObservedData(ValueError):
     """Replay was requested for a scenario without recorded placements."""
 
 

@@ -50,18 +50,18 @@ def nearest_bf(record: ChoiceRecord) -> int:
 class TestChoiceRecord:
     def test_rejects_occupied_choice(self):
         aud = Auditorium.from_rows([".#."])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"chosen seat \(1, 2\) is already occupied"):
             ChoiceRecord(configuration=aud, chosen=SeatCoord(1, 2), group_count=1)
 
     def test_rejects_empty_configuration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="configuration has nobody seated"):
             ChoiceRecord(
                 configuration=Auditorium(2, 2), chosen=SeatCoord(1, 1), group_count=1
             )
 
     def test_rejects_nonpositive_group_count(self):
         aud = Auditorium.from_rows(["#.."])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="group_count must be >= 1, got 0"):
             ChoiceRecord(configuration=aud, chosen=SeatCoord(1, 3), group_count=0)
 
 

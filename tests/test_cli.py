@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seatsim import POLICY_NAMES, cli, simulation
+from seatsim import POLICY_NAMES, ParseError, cli, parse_choices, parse_scenario, simulation
 from seatsim.cli import main
 
 SCENARIO = (
@@ -210,6 +210,15 @@ class TestSimulateCommand:
         assert out == ""
         assert f"error: argument {flag}: value must be an integer, got {value!r}\n" in err
 
+    def test_flag_with_more_digits_than_int_reads_is_a_usage_error(self, capsys, scenario_file):
+        value = "9" * 4301
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--scenario", str(scenario_file), "--policy", "max", "--runs", value,
+        )
+        assert (code, out) == (2, "")
+        assert f"error: argument --runs: value must be an integer, got {value!r}\n" in err
+
     def test_signed_flags_stay_numbers(self, capsys, scenario_file):
         # A sign is part of the rule: ``--seed -1`` and ``--runs +4`` keep working.
         outs = []
@@ -381,6 +390,74 @@ class TestCommandFuzz:
             assert err.startswith("seatsim: error: ")
             assert err.count("\n") == 1 and err.endswith("\n")
             assert "Traceback" not in err
+        try:
+            (parse_choices if flag == "--choices" else parse_scenario)(text)
+        except ValueError as exc:  # the command fails with the parser's error
+            assert err == f"seatsim: error: {type(exc).__name__}: {exc}\n"
+
+
+_EVERY_COMMAND = [
+    (["simulate", "--policy", "all", "--runs", "2"], "--scenario"),
+    (["replay"], "--scenario"),
+    (["entropy"], "--scenario"),
+    (["analyze", "--metric", "nearest"], "--choices"),
+]
+_COMMAND_IDS = [command[0] for command, _ in _EVERY_COMMAND]
+
+
+class TestReadAsStored:
+    """Each command reads its file as stored: a lone CR is the parser's
+    error, and so is a byte that is not UTF-8, at its line and column."""
+
+    @pytest.mark.parametrize("command, flag", _EVERY_COMMAND, ids=_COMMAND_IDS)
+    def test_lone_cr_is_the_parsers_error(self, capsys, tmp_path, command, flag):
+        data, where = {
+            "--scenario": (b"rows 1\rcols 3\ngrid\n...\narrivals\n1\n", "line 1, column 7"),
+            "--choices": (b"groups 1\rgrid\n#..\nchosen 1,2\n", "line 1, column 9"),
+        }[flag]
+        path = tmp_path / "cr.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc_info:
+            (parse_choices if flag == "--choices" else parse_scenario)(data.decode())
+        assert str(exc_info.value).startswith(f"{where}: unexpected whitespace '\\r'")
+        code, out, err = run_cli(capsys, *command, flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"seatsim: error: ParseError: {exc_info.value}\n"
+
+    @pytest.mark.parametrize("command, flag", _EVERY_COMMAND, ids=_COMMAND_IDS)
+    def test_byte_not_utf8_is_a_parse_error(self, capsys, tmp_path, command, flag):
+        data, where = {
+            "--scenario": (b"rows 1\ncols 3\ngrid\n.\xff.\narrivals\n1\n", "line 4, column 2"),
+            "--choices": (b"groups 1\ngrid\n#.\xff\nchosen 1,2\n", "line 3, column 3"),
+        }[flag]
+        path = tmp_path / "ff.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, *command, flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"seatsim: error: ParseError: {where}: invalid UTF-8 byte 0xff\n"
+
+    def test_column_counts_characters(self, capsys, tmp_path):
+        path = tmp_path / "accent.scenario"
+        path.write_bytes("rows 1\n; café".encode() + b" \xfe\n")
+        code, _, err = run_cli(capsys, "entropy", "--scenario", str(path))
+        assert code == 1
+        assert err == "seatsim: error: ParseError: line 2, column 8: invalid UTF-8 byte 0xfe\n"
+
+    @pytest.mark.parametrize("command, flag, name", [
+        (["simulate", "--policy", "all", "--runs", "20"], "--scenario", "fig1.scenario"),
+        (["replay"], "--scenario", "fig1.scenario"),
+        (["entropy"], "--scenario", "fig1.scenario"),
+        (["analyze", "--metric", "nearest"], "--choices", "sample.choices"),
+        (["analyze", "--metric", "center"], "--choices", "sample.choices"),
+    ], ids=["simulate", "replay", "entropy", "nearest", "center"])
+    def test_crlf_copy_prints_what_the_file_prints(self, capsys, tmp_path, command, flag, name):
+        data = (_DATA / name).read_bytes()
+        assert b"\r" not in data
+        crlf = tmp_path / name
+        crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+        shipped, copy = (run_cli(capsys, *command, flag, str(p)) for p in (_DATA / name, crlf))
+        assert shipped[0] == 0 and shipped[1]
+        assert copy == shipped
 
 
 class TestErrorPaths:

@@ -100,7 +100,7 @@ class TestFeasiblePlacements:
         assert list(placements) == sorted(placements)
 
     def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="group size must be positive, got 0"):
             Auditorium(2, 2).feasible_placements(0)
 
     def test_matches_naive_filter_on_random_grids(self):
@@ -695,7 +695,7 @@ class TestOccupy:
     def test_out_of_bounds_rejected(self):
         aud = Auditorium(2, 2)
         for bad in [(0, 1), (1, 0), (3, 1), (1, 3)]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"seat \({bad[0]},{bad[1]}\) outside 2x2"):
                 aud.occupy_seats([bad])
 
     def test_occupy_seats_is_all_or_nothing(self):
@@ -745,15 +745,19 @@ class TestConstruction:
         assert Auditorium.from_rows(rows).to_rows() == rows
 
     def test_from_rows_rejects_bad_chars(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="column 3: bad grid character 'x'"):
             Auditorium.from_rows(["..x."])
 
     def test_from_rows_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid row 2 has 2 characters, expected 3"):
             Auditorium.from_rows(["...", ".."])
 
+    def test_from_rows_needs_a_row(self):
+        with pytest.raises(ValueError, match="need at least one row"):
+            Auditorium.from_rows([])
+
     def test_degenerate_dimensions_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="auditorium must be at least 1x1, got 0x3"):
             Auditorium(0, 3)
 
     def test_copy_is_independent(self):
@@ -772,6 +776,9 @@ class TestConstruction:
     def test_equality_tracks_occupancy(self, aud):
         clone = Auditorium(aud.rows, aud.cols, occupied_cells(aud))
         assert clone == aud
+
+    def test_a_hall_is_not_equal_to_other_types(self):
+        assert (Auditorium(2, 2) == "x") is False
 
 
 # Straddle the widths where the seat sum's bit slices gain a slice.

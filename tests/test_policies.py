@@ -71,7 +71,7 @@ class TestSharedContract:
         assert policy.choices == [*POLICY_NAMES, "all"]
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy 'greedy'; expected one of"):
             select_placement("greedy", Auditorium(2, 2), 1, random.Random(0))
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)

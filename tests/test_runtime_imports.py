@@ -96,6 +96,26 @@ def _imported(tree, module):
             for alias in node.names]
 
 
+def _error_classes():
+    """Every exception class a seatsim module defines, by name."""
+    import importlib
+
+    modules = [importlib.import_module(f"seatsim.{path.stem}") for path in SOURCES]
+    return {name: value for module in modules for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__}
+
+
+def test_every_bad_input_error_is_a_value_error():
+    # The command line exits 1 on any ValueError; a row index outside the
+    # hall is a caller's fault, not bad input.
+    errors = _error_classes()
+    assert "ParseError" in errors and "RowOutOfRange" in errors
+    assert {name for name, cls in errors.items() if not issubclass(cls, ValueError)} == {
+        "RowOutOfRange"
+    }
+
+
 class TestOwnership:
     """Each decision has one module: the score and the grid text in grid.py,
     the scenario and its checks in scenario_io.py, the runs in simulation.py."""
@@ -113,6 +133,14 @@ class TestOwnership:
         users = {name for name, tree in _trees().items() for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == attr}
         assert users == {"grid.py"}
+
+    def test_cli_names_no_error_class_but_parse_error(self):
+        # ``main`` catches every bad-input error as a ValueError, not by name.
+        errors = _error_classes()
+        imported = {name for node in ast.walk(_trees()["cli.py"])
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    for name in (alias.name for alias in node.names) if name in errors}
+        assert imported == {"ParseError"}
 
     def test_patched_names_are_the_owners(self):
         # ``bench/tracer.py`` patches these module attributes by name.

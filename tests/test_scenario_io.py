@@ -120,8 +120,10 @@ class TestParseScenario:
             ("rows \u0661\n", 1, 6, "rows must be an integer, got '\u0661'"),
             ("rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1: 1,2_0\n", 8, 6,
              "seat must be an integer, got '2_0'"),
+            # More digits than ``int`` reads by default (4300).
+            (f"rows {'9' * 4301}\n", 1, 6, f"rows must be an integer, got '{'9' * 4301}'"),
         ],
-        ids=["underscore", "non-ascii", "seat"],
+        ids=["underscore", "non-ascii", "seat", "too-many-digits"],
     )
     def test_integer_is_ascii_digits_with_a_sign(self, text, line, column, message):
         with pytest.raises(ParseError) as exc_info:
@@ -228,6 +230,11 @@ class TestValidateTypes:
         # Unchecked, each gives a TypeError, here or later in a run.
         with pytest.raises(ValidationError, match=message):
             validate_scenario(scenario)
+
+    def test_empty_hall_is_rejected(self):
+        # ``parse_scenario`` rejects it before the grid; a built one reaches the validator.
+        with pytest.raises(ValidationError, match="auditorium must be at least 1x1, got 0x3"):
+            validate_scenario(Scenario(0, 3, (), ()))
 
 
 class TestShippedScenario:

@@ -162,7 +162,7 @@ class TestRunMany:
         assert exc_info.value.step == 2
 
     def test_rejects_zero_runs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one run, got 0"):
             run_many(small_scenario(), "random", 0, 0)
 
     @pytest.mark.parametrize("runs, workers, message", [
@@ -408,6 +408,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _open_fds_and_affinity():
+    """This process's open fds and CPU affinity, each None where the OS
+    does not tell."""
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return fds, affinity
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids ``os.fork`` returns to the parent while the test runs."""
@@ -473,6 +481,26 @@ class TestShards:
             run_many(small_scenario(), "nope", 9, 4, workers=2)
         assert two_shards == []
         assert_no_child_left()
+
+    def test_failed_fork_reaps_the_forked_children(self, monkeypatch, forks):
+        # The usable CPUs, repeated up to three: pinning back to them leaves
+        # this process's affinity as it was, whatever the host has.
+        cpus = simulation._cpus()
+        monkeypatch.setattr(simulation, "_cpus", lambda: (cpus * 3)[: max(3, len(cpus))])
+        counting_fork = os.fork
+
+        def failing_fork():
+            if forks:  # the second call
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return counting_fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = _open_fds_and_affinity()
+        with pytest.raises(BlockingIOError):
+            run_many(small_scenario(), "max", 9, 4, workers=3)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert _open_fds_and_affinity() == before
 
     def test_no_fork_means_one_shard(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -678,7 +706,7 @@ class TestInitialHall:
     def test_bad_seat_raises_on_every_call(self):
         sc = Scenario(rows=2, cols=2, initial_occupancy=((3, 1),), arrivals=())
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"seat \(3,1\) outside 2x2"):
                 sc.initial_auditorium()
 
     def test_built_hall_is_not_part_of_equality_or_repr(self):
