@@ -39,6 +39,14 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(exc.message) from None
 
 
+def _count(text: str) -> int:
+    """A flag's number of at least one, such as a run or worker count."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"value must be at least 1, got {value}")
+    return value
+
+
 def _read(path: Path) -> str:
     """The file's text as stored, so a lone CR reaches the parser; a byte
     that is not UTF-8 is a :class:`ParseError` at its line and column."""
@@ -67,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", required=True, choices=[*POLICY_NAMES, "all"],
         help="selection rule to simulate, or 'all' for every rule",
     )
-    simulate.add_argument("--runs", type=_integer, default=1000)
+    simulate.add_argument("--runs", type=_count, default=1000)
     simulate.add_argument("--seed", type=_integer, default=0)
     simulate.add_argument("--out", type=Path, help="write CSV here instead of stdout")
     simulate.add_argument(
-        "--workers", type=_integer, default=1,
+        "--workers", type=_count, default=1,
         help="processes to share the runs (N >= 1; capped at the usable CPUs); "
         "the output is the same for any N",
     )

@@ -33,6 +33,17 @@ times ``(1 << size) - 1`` is every lane's new run.
 A grid block's text is the board (:func:`read_grid`, which checks it): its
 rows of ``.``/``#`` joined by LF, reversed and read in binary with ``.``,
 ``#`` and LF as 0, 1 and 0, put each LF on the guard bit of the row before it.
+The check counts rather than matches: a block of the right length with
+``rows * cols`` of ``.`` and ``#`` has ``rows - 1`` other characters, and
+when every ``cols + 1``-th character from index ``cols`` on is an LF, those
+are the LFs that end the rows. Any other block is checked row by row for
+its first fault.
+
+A whole board is recounted (``Auditorium._set_board``) a bit of the row and
+seat numbers at a time: with ``mask_k`` the seats whose row (seat) number has
+bit ``k`` set, the row (seat) sum is the sum of ``2**k * popcount(board &
+mask_k)``. The masks of a hall's shape are built in closed form
+(:func:`_bit_slice`) and memoized for the last shape recounted.
 
 The dispersion score of a seating (:func:`entropy`) is defined here too,
 beside the two writers that keep it up to date: within each row, count the
@@ -45,6 +56,7 @@ attained when every row alternates.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -115,12 +127,24 @@ def _dilate(bits: int, width: int, seats: int) -> int:
     return (bits | bits << 1 | bits >> 1 | bits << width | bits >> width) & seats
 
 
-def _bit_slice(k: int, cols: int) -> int:
-    """Row mask of the seats of ``1..cols`` whose number has bit ``k`` set:
-    runs of ``2**k`` seats every ``2**(k+1)``, the first at seat ``2**k``."""
-    run, period = 1 << k, 2 << k
-    runs = ((1 << run) - 1) * ((1 << period * (cols // period + 1)) - 1) // ((1 << period) - 1)
-    return runs << run - 1 & (1 << cols) - 1
+def _bit_slice(k: int, count: int, unit: int = 1, width: int = 1) -> int:
+    """The units ``1..count`` whose number has bit ``k`` set: runs of ``2**k``
+    units every ``2**(k+1)``, the first at unit ``2**k``. Unit ``i`` is
+    ``unit << (i-1)*width``; by default, bit ``i-1``."""
+    run, period = width << k, width << k + 1
+    runs = unit * ((1 << run) - 1) // ((1 << width) - 1)
+    runs = runs * ((1 << period * (count >> k + 1) + period) - 1) // ((1 << period) - 1)
+    return runs << run - width & (1 << count * width) - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _number_masks(rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per bit ``k``, the seats of a ``rows`` x ``cols`` hall whose row number
+    has bit ``k`` set; then those whose seat number has it."""
+    width, row = cols + 1, (1 << cols) - 1
+    firsts = ((1 << width * rows) - 1) // ((1 << width) - 1)  # the first seat of each row
+    return (tuple(_bit_slice(k, rows, row, width) for k in range(rows.bit_length())),
+            tuple(firsts * _bit_slice(k, cols) for k in range(cols.bit_length())))
 
 
 def _nth_bit(starts: int, n: int) -> int:
@@ -148,17 +172,19 @@ def _nth_bit(starts: int, n: int) -> int:
 
 
 _GRID_CHARS = str.maketrans("01", ".#")
+_GRID_BITS = str.maketrans(".#\n", "010")
 
 
 def read_grid(texts: Sequence[str], cols: int) -> int:
     """The board of rows of ``cols`` characters ``.``/``#``, at least one.
     The first faulty row raises :class:`GridError`, on its length before
     its characters."""
-    block = "\n".join(texts)
-    # The length test first keeps an LF out of every row and a huge ``cols`` off the pattern.
-    if len(block) == len(texts) * (cols + 1) - 1 and re.fullmatch(
-            f"(?:[.#]{{{cols}}}\n)*[.#]{{{cols}}}", block):
-        return int(block[::-1].replace(".", "0").replace("#", "1").replace("\n", "0") or "0", 2)
+    rows, block = len(texts), "\n".join(texts)
+    # The counts leave ``rows - 1`` other characters; the stride puts them at the row ends.
+    if (len(block) == rows * (cols + 1) - 1
+            and block.count(".") + block.count("#") == rows * cols
+            and block[cols::cols + 1] == "\n" * (rows - 1)):
+        return int(block[::-1].translate(_GRID_BITS) or "0", 2)
     for row, text in enumerate(texts, start=1):
         if len(text) != cols:
             message = f"grid row {row} has {len(text)} characters, expected {cols}"
@@ -245,17 +271,18 @@ class Auditorium(_Board):
         return aud
 
     def _set_board(self, board: int) -> None:
-        # Shifted right by r = 0, 1, ... rows, the board keeps rows r+1 on, so row k
-        # is counted k times; the seat sum adds bit k of the seat numbers a slice at a time.
+        # Bit k of a row (seat) number adds 2**k to the row (seat) sum for each
+        # seat under its shape's mask; only the score takes a row at a time.
         cols = self.cols
-        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``row_transitions``
+        row_masks, seat_masks = _number_masks(self.rows, cols)
         row_sum = seat_sum = score = 0
+        for k, mask in enumerate(row_masks):
+            row_sum += (board & mask).bit_count() << k
+        for k, mask in enumerate(seat_masks):
+            seat_sum += (board & mask).bit_count() << k
+        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``row_transitions``
         for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
-            row_sum += (board >> shift).bit_count()
             score += (flips >> shift & inner).bit_count() ** 2
-        rep = self._valid // self._row_mask  # the first seat of each row
-        for k in range(cols.bit_length()):
-            seat_sum += (board & rep * _bit_slice(k, cols)).bit_count() << k
         self._board, self._row_sum, self._seat_sum, self._entropy = board, row_sum, seat_sum, score
 
     @classmethod

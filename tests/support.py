@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 from seatsim import Auditorium, Placement, Scenario, SeatCoord
@@ -78,6 +79,23 @@ def entropy_bf(aud: Auditorium) -> int:
         )
         total += flips * flips
     return total
+
+
+def read_grid_ref(texts: list[str], cols: int) -> int | tuple[int, int, str] | None:
+    """``grid.read_grid`` as a regex over the whole block, then a check of
+    each row in turn: the board of a valid block, else the first faulty
+    row's ``(row, column, message)``; None for no rows."""
+    block = "\n".join(texts)
+    if len(block) == len(texts) * (cols + 1) - 1 and re.fullmatch(
+            f"(?:[.#]{{{cols}}}\n)*[.#]{{{cols}}}", block):
+        return sum(1 << r * (cols + 1) + s
+                   for r, text in enumerate(texts) for s, char in enumerate(text) if char == "#")
+    for row, text in enumerate(texts, start=1):
+        if len(text) != cols:
+            return row, min(len(text), cols) + 1, f"grid row {row} has {len(text)} characters, expected {cols}"
+        if bad := re.search("[^.#]", text):
+            return row, bad.start() + 1, f"bad grid character {bad.group()!r}, expected '.' or '#'"
+    return None
 
 
 def placement_point_distance_bf(placement: Placement, coord: SeatCoord) -> int:

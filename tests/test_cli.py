@@ -184,8 +184,8 @@ class TestSimulateCommand:
             "simulate", "--scenario", str(scenario_file), "--policy", "max",
             "--runs", "0",
         )
-        assert code == 1
-        assert "ValueError" in err
+        assert code == 2
+        assert "argument --runs: value must be at least 1, got 0" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fewer_than_one_worker_fails_cleanly(self, capsys, scenario_file, workers):
@@ -194,9 +194,9 @@ class TestSimulateCommand:
             "simulate", "--scenario", str(scenario_file), "--policy", "max",
             "--runs", "2", "--workers", workers,
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert "ValueError" in err
+        assert f"argument --workers: value must be at least 1, got {int(workers)}" in err
 
     # ``int`` alone reads all of these; a number in the files may not be spelled so.
     @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660", "\uff12", " 5", "5\n", "0x10", ""])

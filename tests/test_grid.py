@@ -20,7 +20,7 @@ from seatsim import (
     parse_scenario,
     policies,
 )
-from seatsim.grid import LaneStack, _nth_bit, board_cells
+from seatsim.grid import GridError, LaneStack, _nth_bit, _number_masks, board_cells, read_grid
 from support import (
     center_of_mass_bf,
     entropy_bf,
@@ -32,6 +32,7 @@ from support import (
     placement_point_distance_bf,
     placement_seats,
     random_auditorium,
+    read_grid_ref,
 )
 
 
@@ -781,6 +782,53 @@ class TestConstruction:
         assert (Auditorium(2, 2) == "x") is False
 
 
+_GRID_ALPHABET = ".#x\n\r \uff0e"
+
+
+@st.composite
+def grid_blocks(draw):
+    """Rows for ``read_grid`` and their ``cols``: clean rows of ``.``/``#``,
+    then up to two edits: a character of ``_GRID_ALPHABET`` (LF included)
+    swapped in, a seat moved across a row end, so that the total length still
+    matches, or a row resized."""
+    cols, rows = draw(st.integers(1, 65)), draw(st.integers(1, 5))
+    texts = draw(st.lists(st.text(".#", min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, rows - 1))
+        edit = draw(st.sampled_from(["char", "ragged", "resize"]))
+        if edit == "char" and texts[at]:
+            i = draw(st.integers(0, len(texts[at]) - 1))
+            texts[at] = texts[at][:i] + draw(st.sampled_from(_GRID_ALPHABET)) + texts[at][i + 1:]
+        elif edit == "ragged" and at + 1 < rows:
+            joined, cut = texts[at] + texts[at + 1], len(texts[at]) + draw(st.sampled_from([-1, 1]))
+            if 0 <= cut <= len(joined):
+                texts[at], texts[at + 1] = joined[:cut], joined[cut:]
+        elif edit == "resize":
+            size = draw(st.integers(0, cols + 2))
+            texts[at] = (texts[at] + "." * size)[:size]
+    return texts, cols
+
+
+class TestReadGrid:
+    """``read_grid`` gives what the whole-block regex and the row-by-row
+    check gave: the same board, or the same first fault."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_blocks())
+    @example(([".#.", ".#", "#.#."], 3))  # ragged rows, total length and seat count kept
+    @example(([".#.#", ".#"], 3))
+    @example(([".\n.", "..."], 3))  # an LF inside a row
+    @example((["..", "\n", ".."], 2))
+    @example((["\uff0e.", ".."], 2))
+    def test_matches_the_regex_reader(self, case):
+        texts, cols = case
+        try:
+            got = read_grid(texts, cols)
+        except GridError as exc:
+            got = exc.row, exc.column, exc.message
+        assert got == read_grid_ref(texts, cols)
+
+
 # Straddle the widths where the seat sum's bit slices gain a slice.
 _SLICE_EDGES = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]
 
@@ -822,6 +870,18 @@ class TestFromBoard:
             assert hall.occupied_count == len(seats)
             assert hall.center_of_mass() == center_of_mass_bf(hall)
             assert entropy(hall) == entropy_bf(hall)
+
+    def test_masks_follow_the_shape(self):
+        # One memoized shape at a time: each new shape's hall must not be
+        # recounted with the masks of the shape before it.
+        rng = random.Random(25)
+        for rows, cols in [(7, 14), (20, 40), (1, 1), (65, 65), (7, 14)]:
+            seats = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)
+                     if rng.random() < 0.4] or [(rows, cols)]
+            hall = Auditorium(rows, cols, seats)
+            assert hall.center_of_mass() == center_of_mass_bf(hall)
+            assert entropy(hall) == entropy_bf(hall)
+            assert _number_masks.cache_info().currsize <= 1
 
     def test_no_seats_means_no_recount(self, monkeypatch):
         def recount(self, board):
