@@ -25,10 +25,21 @@ occupant, in every lane at once. A lane's top bit is never a seat, so
 ``(x + fill) & tops`` (``fill`` all ones below each top bit) marks the
 lanes where ``x`` is non-empty and ``marks - (marks >> top)`` widens them,
 for the rules to test and merge start sets per lane (``_Board._covers``,
-``_Board._or``). ``LaneStack.take`` counts every lane's starts and finds
-every lane's drawn start with a fixed number of such operations on fields,
-then writes each drawn start as one bit of a one-hot byte string; that
-times ``(1 << size) - 1`` is every lane's new run.
+``_Board._or``).
+
+A lane of a :class:`LaneStack` is a board and a score, not a hall.
+``LaneStack.take`` counts every lane's starts and finds every lane's drawn
+start with a fixed number of such operations on fields, then writes each
+drawn start as one bit of a one-hot byte string ``o``; ``o`` times ``(1 <<
+size) - 1`` is every lane's new run. Only the drawn row's flips change: with
+``v`` the seats, the carry of ``v + o`` runs from each drawn start through
+its row's seats to the row's guard and stops there, so ``g = (v + o) & ~v``
+is that guard and ``g - (g >> cols)`` that row's seats. The row's flips are
+counted before and after the run, a field sum per lane as for the starts,
+and each lane's score moves by the square of the count after less that
+before. The row and seat sums of the center of mass follow from each drawn
+start's bit index; the draws are kept and added in only when ``center``
+asks for the lanes' centers (``LaneStack._balls``).
 
 A grid block's text is the board (:func:`read_grid`, which checks it): its
 rows of ``.``/``#`` joined by LF, reversed and read in binary with ``.``,
@@ -457,22 +468,25 @@ def entropy(aud: Auditorium) -> int:
     return aud._entropy
 
 
-def _byte_bits() -> tuple[tuple[int, ...], ...]:
-    """The positions of the set bits of each byte value, lowest first."""
+def _byte_ones() -> tuple[tuple[int, ...], ...]:
+    """Each set bit of each byte value, alone in the byte, lowest first."""
     table: list[tuple[int, ...]] = [()]
     for bit in range(8):
-        table += [bits + (bit,) for bits in table]
+        table += [ones + (1 << bit,) for ones in table]
     return tuple(table)
 
 
-_BYTE_BITS = _byte_bits()
+_BYTE_ONES = _byte_ones()
 
 
 class LaneStack(_Board):
-    """Copies of one hall (``halls``) as the lanes of ``_board``, on which a
-    rule's start-set function gives each hall's start set in its lane. Every
-    hall has seated as many people, the board's popcount over the lane count,
-    so an empty ``_board``, or no center of mass, is every lane's.
+    """Copies of one hall as the ``lanes`` lanes of ``_board``, on which a
+    rule's start-set function gives each copy's start set in its lane. A
+    lane keeps no hall: only its score, in ``_scores``, and its row and seat
+    sums for the center of mass, brought up to date from the draws of
+    ``_drawn`` when ``_balls`` asks. Every lane has seated as many people,
+    the board's popcount over the lane count, so an empty ``_board``, or no
+    center of mass, is every lane's.
 
     A lane is ``_bytes`` bytes, whole fields of ``_field`` bytes: the fewest
     whose top bit stays clear of ``rows * cols``, the most starts a lane
@@ -487,8 +501,14 @@ class LaneStack(_Board):
         top = 8 * self._bytes - 1
         ones = ((1 << (top + 1) * lanes) - 1) // ((1 << top + 1) - 1)  # bit 0 of each lane
         super().__init__(hall.rows, hall.cols, top, ones)
-        self.halls = [hall.copy() for _ in range(lanes)]
+        self.lanes = lanes
         self._board = hall._board * ones
+        self._scores = [hall._entropy] * lanes
+        self._row_sums, self._seat_sums = [hall._row_sum] * lanes, [hall._seat_sum] * lanes
+        self._drawn: list[tuple[Sequence[int], bytearray, int]] = []  # targets, one-hot, size
+        # Each lane bit's row number and seat index, for the sums.
+        self._cells = [(low // self._width + 1, low % self._width) for low in range(top + 1)]
+        self._inner = self._valid & self._valid >> 1  # seats with a seat on their right
         # ``take``'s masks: each byte's bit pairs, nibbles and low nibble; bit 0
         # of each field (of one lane: ``_lane_units``), its low byte and its top
         # bit; bit 0 of each lane's top field; for the sums along each lane, its
@@ -502,11 +522,9 @@ class LaneStack(_Board):
         self._scan = [(bits << k, ((1 << top + 1) - (1 << (bits << k))) * ones)
                       for k in range((per_lane - 1).bit_length())]
 
-    def take(
-        self, starts: int, size: int, rngs: Sequence[random.Random], trajectories: list[list[int]]
-    ) -> None:
-        """Seat ``size`` people in each hall, on a start its rng draws from its
-        lane, and append the hall's new entropy score to its trajectory.
+    def take(self, starts: int, size: int, rngs: Sequence[random.Random]) -> list[int]:
+        """Seat ``size`` people in each lane, on a start its rng draws from the
+        lane, and return every lane's new score, in lane order.
 
         Broadword rank and select (S. Vigna, WEA 2008; Knuth, TAOCP 4A,
         7.1.3) count and find every lane's starts at once, in a number of
@@ -521,17 +539,14 @@ class LaneStack(_Board):
           into the lane's top field the marked bytes, of which the drawn
           start's is the last, and their starts, which less ``n`` is the
           start's rank from its byte's top; a table of each byte's set bits
-          decodes it.
-        Each hall seats its run (``Auditorium._take``), and the drawn starts,
-        a bit each in a one-hot byte string, times the run give the board
-        every lane's new run.
+          gives the drawn start's bit, alone in its byte.
+        The drawn starts, a bit each in a one-hot byte string, times the run
+        give every lane's new run. Only the drawn row's flips change, so each
+        lane's score moves by the square of its count after less that before.
         """
-        step, width, lanes = self._bytes, self._field, len(self.halls)
-        m1, m2, m4 = self._swar
-        pops = starts - (starts >> 1 & m1)
-        pops = (pops & m2) + (pops >> 2 & m2)
-        pops = pops + (pops >> 4) & m4  # each byte's popcount
-        parts = [pops >> 8 * o & self._low for o in range(width)]  # byte o of each field
+        step, lanes = self._bytes, self.lanes
+        pops = self._byte_counts(starts)
+        parts = [pops >> 8 * o & self._low for o in range(self._field)]  # byte o of each field
         sums = ends = sum(parts)  # each field's starts
         for shift, keep in self._scan:
             ends += ends << shift & keep  # the lane's starts up to each field's end
@@ -541,25 +556,50 @@ class LaneStack(_Board):
         before = ends - sums  # the lane's starts before each field, then before its byte o
         marked = seen = 0
         for part in parts:
-            marks = (spread - before) >> 8 * width - 1 & self._units
+            marks = (spread - before) >> 8 * self._field - 1 & self._units
             marked += marks
             seen += part & marks * 255
             before += part
         targets = self._top_fields(marked * self._lane_units - self._top_units)
-        ranks = self._top_fields(seen * self._lane_units - (drawn << 8 * (step - width)))
+        ranks = self._top_fields(seen * self._lane_units - (drawn << 8 * (step - self._field)))
         data, onehot = starts.to_bytes(step * lanes, "little"), bytearray(step * lanes)
-        for i, byte, rank, hall, trajectory in zip(
-                range(0, len(data), step), targets, ranks, self.halls, trajectories):
-            bit = _BYTE_BITS[data[i + byte]][-rank]
-            hall._take(8 * byte + bit, size)
-            trajectory.append(hall._entropy)
-            onehot[i + byte] = 1 << bit
-        self._board |= int.from_bytes(onehot, "little") * ((1 << size) - 1)
+        for i, byte, rank in zip(range(0, len(data), step), targets, ranks):
+            onehot[i + byte] = _BYTE_ONES[data[i + byte]][-rank]
+        self._drawn.append((targets, onehot, size))
+        new, board = int.from_bytes(onehot, "little"), self._board
+        row = self._rows_of(new) & self._inner  # the drawn rows' flip positions
+        was = self._counts((board ^ board >> 1) & row)
+        board |= new * ((1 << size) - 1)
+        now = self._counts((board ^ board >> 1) & row)
+        self._board = board
+        self._scores = [s + n * n - w * w for s, n, w in zip(self._scores, now, was)]
+        return self._scores
+
+    def _rows_of(self, seats: int) -> int:
+        """The seats of the row of each lane's one bit of ``seats``, a seat:
+        added to ``_valid``, the bit's carry runs through the seats after it
+        to its row's guard and stops there, so no carry leaves the row."""
+        valid = self._valid
+        guards = (valid + seats) & ~valid
+        return guards - (guards >> self.cols)
+
+    def _byte_counts(self, x: int) -> int:
+        # Each byte's popcount, in that byte.
+        m1, m2, m4 = self._swar
+        x -= x >> 1 & m1
+        x = (x & m2) + (x >> 2 & m2)
+        return x + (x >> 4) & m4
+
+    def _counts(self, x: int) -> Sequence[int]:
+        # Each lane's popcount of ``x``: its bytes' counts summed into fields, then along the lane.
+        pops = self._byte_counts(x)
+        fields = sum([pops >> 8 * o & self._low for o in range(self._field)])
+        return self._top_fields(fields * self._lane_units)
 
     def _top_fields(self, x: int) -> Sequence[int]:
         # Each lane's top field of ``x``; what runs past the last lane is left out.
         step, width = self._bytes, self._field
-        end = step * len(self.halls)
+        end = step * self.lanes
         data = x.to_bytes(end + step, "little")
         tops: Sequence[int] = data[step - width:end:step]
         for o in range(1, width):
@@ -571,9 +611,20 @@ class LaneStack(_Board):
         return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in lanes]), "little")
 
     def _balls(self, size: int) -> int:
-        # Each hall's ``_balls``, its center of mass rounded as ``center_of_mass`` does.
-        n = self._board.bit_count() // len(self.halls)
-        twice = 2 * n
-        return self._pack([
-            h._covering(((2 * h._row_sum + n) // twice, (2 * h._seat_sum + n) // twice), size)
-            for h in self.halls])
+        # Each lane's starts whose run covers its center of mass, rounded as
+        # ``Auditorium.center_of_mass`` does; the draws since the last call are
+        # first added to the row and seat sums.
+        step, cells, rows, seats = self._bytes, self._cells, self._row_sums, self._seat_sums
+        for targets, onehot, k in self._drawn:
+            drawn = [cells[8 * byte + onehot[i + byte].bit_length() - 1]
+                     for i, byte in zip(range(0, len(onehot), step), targets)]
+            run = k * (k + 1) >> 1  # seats start + 1 .. start + k sum to k * start + run
+            rows = [r + k * row for r, (row, _) in zip(rows, drawn)]
+            seats = [s + k * start + run for s, (_, start) in zip(seats, drawn)]
+        self._row_sums, self._seat_sums, self._drawn = rows, seats, []
+        n = self._board.bit_count() // self.lanes
+        twice, width = 2 * n, self._width
+        # By seat number, the starts of its row whose run covers it, shifted to each center's row.
+        covering = [(1 << seat) - (1 << max(seat - size, 0)) for seat in range(self.cols + 1)]
+        return self._pack([covering[(2 * s + n) // twice] << ((2 * r + n) // twice - 1) * width
+                           for r, s in zip(rows, seats)])

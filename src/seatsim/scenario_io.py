@@ -185,6 +185,14 @@ def _tokens(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
     return tokens
 
 
+def _quoted(text: str) -> str:
+    """``text`` from a file or flag, quoted for an error message: whole up to
+    40 characters, else its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_int(token: str, line: int, column: int, what: str) -> int:
     """The number ``token`` spells, by the one rule for numbers in the file
     formats and in the command line's flags: ASCII digits with an optional
@@ -196,7 +204,7 @@ def parse_int(token: str, line: int, column: int, what: str) -> int:
             return int(token)
         except ValueError:  # more digits than ``int`` reads
             pass
-    raise ParseError(line, column, f"{what} must be an integer, got {token!r}")
+    raise ParseError(line, column, f"{what} must be an integer, got {_quoted(token)}")
 
 
 def _int_field(item: tuple[int, str], keyword: str) -> int:
@@ -204,7 +212,7 @@ def _int_field(item: tuple[int, str], keyword: str) -> int:
     line, text = item
     tokens = _tokens(line, text)
     if not tokens or tokens[0][1] != keyword:
-        raise ParseError(line, 1, f"expected '{keyword} <n>', got {text!r}")
+        raise ParseError(line, 1, f"expected '{keyword} <n>', got {_quoted(text)}")
     if len(tokens) != 2:
         raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
     column, value = tokens[1]
@@ -216,14 +224,14 @@ def _keyword(item: tuple[int, str], keyword: str) -> None:
     line, text = item
     if text.strip(" \t") != keyword:
         _tokens(line, text)  # a stray whitespace character is the error
-        raise ParseError(line, 1, f"expected '{keyword}', got {text!r}")
+        raise ParseError(line, 1, f"expected '{keyword}', got {_quoted(text)}")
 
 
 def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
     """The plain ``(row, seat)`` pair of a ``row,seat`` token; not yet a ``SeatCoord``."""
     row_part, comma, seat_part = token.partition(",")
     if not comma or not row_part or not seat_part:
-        raise ParseError(line, column, f"expected 'row,seat', got {token!r}")
+        raise ParseError(line, column, f"expected 'row,seat', got {_quoted(token)}")
     return (
         parse_int(row_part, line, column, "row"),
         parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
@@ -280,7 +288,7 @@ def parse_scenario(text: str) -> Scenario:
     item = cur.peek()
     if item is not None:
         _tokens(*item)  # a stray whitespace character is the error
-        raise ParseError(item[0], 1, f"unexpected line {item[1]!r}")
+        raise ParseError(item[0], 1, f"unexpected line {_quoted(item[1])}")
 
     scenario = Scenario(
         rows=rows,
@@ -384,11 +392,11 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
             raise ParseError(line, exc.column, exc.message) from None
         line, text = lines[exc.row + 2]  # at a 'chosen' line, the fault is the line after it
         _tokens(line, text)  # a stray whitespace character is the error
-        raise ParseError(line, 1, f"unexpected line {text!r}") from None
+        raise ParseError(line, 1, f"unexpected line {_quoted(text)}") from None
 
     tokens = _tokens(chosen_line, chosen_text)
     if len(tokens) != 2 or tokens[0][1] != "chosen":
-        raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {chosen_text!r}")
+        raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {_quoted(chosen_text)}")
     column, value = tokens[1]
     chosen = _parse_coord(value, chosen_line, column)
     try:

@@ -58,26 +58,27 @@ def run_once(scenario: Scenario, policy: str, seed: int) -> Trajectory:
 
 def _run_range(
     scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int
-) -> list[Trajectory]:
-    """Trajectories of runs ``lo .. hi-1``; a failure names the lowest failing
-    run, as playing the runs one by one would.
+) -> list[list[int]]:
+    """The scores of runs ``lo .. hi-1``, a column per step in run order; a
+    failure names the lowest failing run, as playing the runs one by one would.
 
     More than three runs step together as the lanes of one ``LaneStack``, one
     rule start set per step, each run drawing from its lane with its own rng;
-    ``LaneStack.take`` seats every hall and appends its score in one pass.
-    Fewer runs, or runs where one finds no room, play ``run_once`` one by one.
+    ``LaneStack.take`` seats every lane and returns the step's column. Fewer
+    runs, or runs where one finds no room, play ``run_once`` one by one, and
+    their trajectories are turned into columns.
     """
     starts = starts_of(policy)
     seeds = [derive_seed(master_seed, run) for run in range(lo, hi)]
     if len(seeds) > 3:
         hall = scenario.initial_auditorium()
-        lanes, score = LaneStack(hall, len(seeds)), entropy(hall)
+        lanes = LaneStack(hall, len(seeds))
         rngs = [random.Random(seed) for seed in seeds]
-        trajectories = [[score] for _ in seeds]
+        columns = [[entropy(hall)] * len(seeds)]
         try:
             for size in scenario.arrivals:
-                lanes.take(starts(lanes, size), size, rngs, trajectories)
-            return trajectories
+                columns.append(lanes.take(starts(lanes, size), size, rngs))
+            return columns
         except NoFeasiblePlacement:
             pass  # replayed run by run below
     trajectories = []
@@ -86,7 +87,7 @@ def _run_range(
             trajectories.append(run_once(scenario, policy, seed))
         except NoFeasiblePlacement as exc:
             raise NoFeasiblePlacement(f"run {run}: {exc}", step=exc.step, run=run) from exc
-    return trajectories
+    return [list(column) for column in zip(*trajectories)]
 
 
 def _can_fork() -> bool:
@@ -116,8 +117,8 @@ def _fork_range(
     scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int, cpu: int
 ) -> tuple[int, int]:
     """Run ``_run_range`` in a child forked onto ``cpu``; returns the pid and
-    the read end of a pipe that gets the pickled ``(True, trajectories)``
-    or ``(False, exception)``."""
+    the read end of a pipe that gets the pickled ``(True, columns)`` or
+    ``(False, exception)``."""
     import pickle
 
     read_fd, write_fd = os.pipe()
@@ -177,11 +178,12 @@ def run_many(
     into ``min(workers, runs, usable CPUs)`` contiguous shards (one where
     ``os.fork`` is missing or other threads run). This process runs the
     first shard; a forked child runs each other one and returns its
-    trajectories over a pipe, and every child is reaped before this
+    columns of scores over a pipe, and every child is reaped before this
     returns. A shard of more than three runs steps them together, one rule
-    start set per step for all of them (``_run_range``). Shards are joined
-    in index order and a failure reports the lowest failing run, so the
-    result is the same for every worker count.
+    start set per step for all of them (``_run_range``). Each step's column
+    is joined shard by shard in index order, each column gives that step's
+    statistics, and a failure reports the lowest failing run, so the result
+    is the same for every worker count.
     """
     for name, value in (("runs", runs), ("workers", workers)):
         if type(value) is not int:  # ``True`` would pass as 1
@@ -203,16 +205,16 @@ def run_many(
             lo, hi = cuts[shard], cuts[shard + 1]
             pid, read_fd = _fork_range(scenario, policy, master_seed, lo, hi, cpus[-shard])
             children.append((shard, pid, read_fd))
-        trajectories = _run_range(scenario, policy, master_seed, cuts[0], cuts[1])
+        columns = _run_range(scenario, policy, master_seed, cuts[0], cuts[1])
     finally:
         _pin(0, cpus)
         replies = [_reap(*child) for child in children]
     for ok, value in replies:
         if not ok:
             raise value
-        trajectories += value
+        columns = [mine + theirs for mine, theirs in zip(columns, value)]
     mean, std, low, high = [], [], [], []
-    for column in zip(*trajectories):
+    for column in columns:
         m = sum(column) / runs
         mean.append(m)
         # Left to right, as ``sum`` added floats before 3.12 compensated them.

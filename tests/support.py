@@ -81,6 +81,46 @@ def entropy_bf(aud: Auditorium) -> int:
     return total
 
 
+
+def lanes_of(stack, x: int) -> list[int]:
+    """The lanes of an int packed like ``stack._board``, in order."""
+    step = stack._bytes
+    data = x.to_bytes(step * stack.lanes, "little")
+    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+
+
+def lane_halls(stack) -> list[Auditorium]:
+    """Each lane of ``stack._board`` decoded bit by bit into a hall; a bit on
+    no seat of the hall raises ``ValueError``."""
+    width = stack.cols + 1
+    return [
+        Auditorium(stack.rows, stack.cols, [(bit // width + 1, bit % width + 1)
+                                            for bit in range(lane.bit_length()) if lane >> bit & 1])
+        for lane in lanes_of(stack, stack._board)
+    ]
+
+
+def covering_bf(aud: Auditorium, point: SeatCoord, size: int) -> int:
+    """The start bits, in the hall's padded layout, of every run of ``size``
+    seats in ``point``'s row that covers ``point``, from seat 1 on."""
+    row, seat = point
+    return sum(1 << (row - 1) * (aud.cols + 1) + start - 1
+               for start in range(max(seat - size + 1, 1), seat + 1))
+
+
+def assert_lanes_exact(stack, scores, sizes=(1, 2, 3)) -> list[Auditorium]:
+    """Check every lane of ``stack`` against the oracles: ``scores`` (one per
+    lane) are the decoded halls' ``entropy_bf``, and with anyone seated each
+    lane of ``stack._balls(size)`` covers its hall's ``center_of_mass_bf``.
+    Returns the decoded halls."""
+    halls = lane_halls(stack)
+    assert list(scores) == [entropy_bf(hall) for hall in halls]
+    if stack._board:
+        for size in sizes:
+            balls = [covering_bf(hall, center_of_mass_bf(hall), size) for hall in halls]
+            assert lanes_of(stack, stack._balls(size)) == balls
+    return halls
+
 def read_grid_ref(texts: list[str], cols: int) -> int | tuple[int, int, str] | None:
     """``grid.read_grid`` as a regex over the whole block, then a check of
     each row in turn: the board of a valid block, else the first faulty

@@ -217,7 +217,20 @@ class TestSimulateCommand:
             "simulate", "--scenario", str(scenario_file), "--policy", "max", "--runs", value,
         )
         assert (code, out) == (2, "")
-        assert f"error: argument --runs: value must be an integer, got {value!r}\n" in err
+        # The token is cut to its first 40 characters and its length named.
+        cut = f"{'9' * 40!r}... (4301 characters)"
+        assert f"error: argument --runs: value must be an integer, got {cut}\n" in err
+        assert len(err) < 400
+
+    def test_file_number_with_more_digits_than_int_reads_fails_on_one_short_line(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "long.scenario"
+        path.write_text(f"rows {'9' * 4301}\ncols 3\ngrid\n...\narrivals\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "entropy", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        message = f"rows must be an integer, got {'9' * 40!r}... (4301 characters)"
+        assert err == f"seatsim: error: ParseError: line 1, column 6: {message}\n"
 
     def test_signed_flags_stay_numbers(self, capsys, scenario_file):
         # A sign is part of the rule: ``--seed -1`` and ``--runs +4`` keep working.

@@ -22,9 +22,12 @@ from seatsim import (
 )
 from seatsim.grid import GridError, LaneStack, _nth_bit, _number_masks, board_cells, read_grid
 from support import (
+    assert_lanes_exact,
     center_of_mass_bf,
     entropy_bf,
     feasible_placements_bf,
+    lane_halls,
+    lanes_of,
     min_distance_bf,
     mirror_placement,
     mirrored,
@@ -463,47 +466,70 @@ class TestLaneStack:
     def test_a_stack_is_not_a_hall(self):
         stack = LaneStack(Auditorium(3, 5, [(1, 1)]), 4)
         assert not issubclass(LaneStack, Auditorium)
-        for name in ("occupied_count", "center_of_mass", "copy", "occupy", "to_rows"):
+        for name in ("occupied_count", "center_of_mass", "copy", "occupy", "to_rows", "halls"):
             assert not hasattr(stack, name), name
+        # Nor does it hold one: a lane keeps only its score and sums.
+        assert not any(isinstance(value, Auditorium) or isinstance(value, list)
+                       and any(isinstance(item, Auditorium) for item in value)
+                       for value in vars(stack).values())
 
     def test_a_new_stack_packs_copies_of_the_hall(self):
         hall = Auditorium(3, 5, [(1, 1), (3, 5)])
         stack = LaneStack(hall, 4)
-        assert stack.halls == [hall] * 4 and all(h is not hall for h in stack.halls)
+        assert stack.lanes == 4
+        assert lane_halls(stack) == [hall] * 4
+        assert_lanes_exact(stack, stack._scores)
         assert stack._board == stack._pack([hall._board] * 4)
         assert stack._valid == stack._pack([hall._valid] * 4)
         assert stack._bytes == 3  # 4 rows of 6 bits, rounded up to whole bytes
 
 
-class TestLaneBalls:
-    """``LaneStack._balls`` rounds each hall's center from its sums as
-    ``Auditorium.center_of_mass`` does."""
+class TestDrawnRows:
+    """``LaneStack._rows_of`` widens each lane's one seat to its row's seats."""
 
-    @staticmethod
-    def _assert_balls_cover_centers(stack):
-        for size in range(1, 5):
-            balls = [hall._covering(hall.center_of_mass(), size) for hall in stack.halls]
-            assert stack._balls(size) == stack._pack(balls)
+    @pytest.mark.parametrize("rows, cols", [(7, 14), (20, 40), (1, 1), (3, 1)])
+    def test_every_seat_in_every_lane(self, rows, cols):
+        hall, rng = Auditorium(rows, cols), random.Random(rows * cols)
+        seats = list(board_cells(hall._valid, cols))
+        row_of = {row: ((1 << cols) - 1) << (row - 1) * (cols + 1) for row in range(1, rows + 1)}
+        # Every seat in every lane position, a lane each: in order, reversed and shuffled.
+        shuffled = rng.sample(seats, len(seats))
+        for order in (seats, seats[::-1], shuffled):
+            stack = LaneStack(hall, len(order))
+            bits = [1 << (row - 1) * (cols + 1) + seat - 1 for row, seat in order]
+            got = lanes_of(stack, stack._rows_of(stack._pack(bits)))
+            assert got == [row_of[row] for row, _ in order]
+
+
+class TestLaneBalls:
+    """``LaneStack._balls`` rounds each lane's center from the row and seat
+    sums of its draws as ``Auditorium.center_of_mass`` does."""
 
     def test_balls_cover_each_halls_center_of_mass(self, fig1_scenario):
         # fig1's lanes, diverging as the random rule seats them step by step.
         stack = LaneStack(fig1_scenario.initial_auditorium(), 30)
         rngs = [random.Random(seed) for seed in range(30)]
-        trajectories = [[] for _ in rngs]
         for size in fig1_scenario.arrivals:
-            stack.take(policies.random_starts(stack, size), size, rngs, trajectories)
-            assert len({hall._board for hall in stack.halls}) > 1
-            self._assert_balls_cover_centers(stack)
-        # Every 1x9 hall with 1 to 4 seated, a lane each: every mean seat,
-        # halves that round up included.
+            scores = stack.take(policies.random_starts(stack, size), size, rngs)
+            assert len(set(lanes_of(stack, stack._board))) > 1
+            assert_lanes_exact(stack, scores, sizes=range(1, 5))
+
+    def test_sums_of_steps_not_asked_for(self):
+        # Every 1x9 hall with 1 to 4 seated, a lane each, seated a seat per
+        # step from an empty hall: every mean seat, halves that round up
+        # included. The balls are asked for only after the last step, so
+        # every step's draws are added to the sums at once.
         for seated in range(1, 5):
-            seat_sets = itertools.combinations(range(9), seated)
+            seat_sets = list(itertools.combinations(range(9), seated))
+            stack = LaneStack(Auditorium(1, 9), len(seat_sets))
+            for step in range(seated):
+                # Each lane draws its step-th seat: its rank among its free seats.
+                draws = [_FixedDraw(seats[step] - sum(s < seats[step] for s in seats[:step]))
+                         for seats in seat_sets]
+                scores = stack.take(policies.random_starts(stack, 1), 1, draws)
             boards = [sum(1 << s for s in seats) for seats in seat_sets]
-            stack = LaneStack(Auditorium(1, 9), len(boards))
-            for hall, board in zip(stack.halls, boards):
-                hall._set_board(board)
-            stack._board = stack._pack(boards)
-            self._assert_balls_cover_centers(stack)
+            assert lanes_of(stack, stack._board) == boards
+            assert_lanes_exact(stack, scores, sizes=range(1, 5))
 
 
 _DRAWS = {
@@ -516,24 +542,23 @@ _DRAWS = {
 class TestLaneSelect:
     """``LaneStack.take`` counts each lane's starts and finds its drawn one
     for every lane at once; lane by lane, the count must be ``bit_count``
-    and the seated start ``_nth_bit`` of the lane's starts."""
+    and the seated start ``_nth_bit`` of the lane's starts, and the score
+    returned that of the lane's new board."""
 
     @staticmethod
     def _check_take(stack, lanes, size, draw, rng):
-        """Take one step from the start sets ``lanes`` (one per hall, each
+        """Take one step from the start sets ``lanes`` (one per lane, each
         non-empty and free for ``size`` seats), drawing ``draw(count, rng)``."""
         counts = [lane.bit_count() for lane in lanes]
         draws = [_FixedDraw(draw(count, rng)) for count in counts]
-        before = [hall._board for hall in stack.halls]
-        trajectories = [[] for _ in lanes]
-        stack.take(stack._pack(lanes), size, draws, trajectories)
-        for lane, count, fixed, board, hall, trajectory in zip(
-                lanes, counts, draws, before, stack.halls, trajectories):
+        before = lanes_of(stack, stack._board)
+        scores = stack.take(stack._pack(lanes), size, draws)
+        assert len(scores) == len(lanes)
+        for lane, count, fixed, board, after in zip(
+                lanes, counts, draws, before, lanes_of(stack, stack._board)):
             assert fixed.stops == [count]
-            run = ((1 << size) - 1) << _nth_bit(lane, fixed.n)
-            assert hall._board == board | run
-            assert trajectory == [hall._entropy]
-        assert stack._board == stack._pack([hall._board for hall in stack.halls])
+            assert after == board | ((1 << size) - 1) << _nth_bit(lane, fixed.n)
+        assert_lanes_exact(stack, scores)
 
     @staticmethod
     def _some_starts(hall, size, rng, density):
@@ -552,10 +577,10 @@ class TestLaneSelect:
         rngs = [random.Random(seed) for seed in range(lanes)]
         for size in fig1_scenario.arrivals:
             density = rng.choice([0.05, 0.3, 1.0])
-            sets = [self._some_starts(hall, size, rng, density) for hall in stack.halls]
+            sets = [self._some_starts(hall, size, rng, density) for hall in lane_halls(stack)]
             self._check_take(stack, sets, size, _DRAWS[draw], rng)
             # A seeded step of the random rule moves the stack on.
-            stack.take(policies.random_starts(stack, size), size, rngs, [[] for _ in rngs])
+            stack.take(policies.random_starts(stack, size), size, rngs)
 
     @pytest.mark.parametrize("draw", _DRAWS)
     @pytest.mark.parametrize("lanes", [1, 5])
@@ -565,7 +590,7 @@ class TestLaneSelect:
         assert stack._field == 2 and stack._bytes % 2 == 0
         for size in (1, 3, 1, 4):
             sets = [self._some_starts(hall, size, rng, rng.choice([0.3, 0.9, 1.0]))
-                    for hall in stack.halls]
+                    for hall in lane_halls(stack)]
             assert min(lane.bit_count() for lane in sets) > 127
             self._check_take(stack, sets, size, _DRAWS[draw], rng)
 
@@ -586,7 +611,7 @@ class TestLaneSelect:
         rng = random.Random(lanes)
         for rows, cols in ((7, 14), (20, 40), (1, 1), (2, 7)):
             stack = LaneStack(Auditorium(rows, cols), lanes)
-            seats = list(board_cells(stack.halls[0]._valid, cols))
+            seats = list(board_cells(Auditorium(rows, cols)._valid, cols))
             picks = [seats[0], seats[-1], *rng.sample(seats, min(len(seats), 2))]
             sets = [1 << (row - 1) * (cols + 1) + seat - 1
                     for row, seat in (rng.choice(picks) for _ in range(lanes))]

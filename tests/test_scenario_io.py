@@ -120,8 +120,10 @@ class TestParseScenario:
             ("rows \u0661\n", 1, 6, "rows must be an integer, got '\u0661'"),
             ("rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1: 1,2_0\n", 8, 6,
              "seat must be an integer, got '2_0'"),
-            # More digits than ``int`` reads by default (4300).
-            (f"rows {'9' * 4301}\n", 1, 6, f"rows must be an integer, got '{'9' * 4301}'"),
+            # More digits than ``int`` reads by default (4300): the token is cut
+            # to its first 40 characters, and its length is named.
+            (f"rows {'9' * 4301}\n", 1, 6,
+             f"rows must be an integer, got '{'9' * 40}'... (4301 characters)"),
         ],
         ids=["underscore", "non-ascii", "seat", "too-many-digits"],
     )
@@ -132,6 +134,19 @@ class TestParseScenario:
         assert (err.line, err.column, err.message) == (line, column, message)
         sc = parse_scenario("rows +1\ncols 3\ngrid\n...\narrivals\n+1 01\n")
         assert (sc.rows, sc.arrivals) == (1, (1, 1))
+
+    @pytest.mark.parametrize("length, shown", [(40, 40), (41, 40), (5000, 40)])
+    def test_long_tokens_are_cut_in_messages(self, length, shown):
+        # An observed token of ``length`` characters that is no ``row,seat``
+        # pair: quoted whole up to 40 characters, past that cut and counted.
+        token = "x" * length
+        text = f"rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n1: {token}\n"
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(text)
+        err = exc_info.value
+        quoted = repr("x" * shown) + ("" if shown == length else f"... ({length} characters)")
+        assert (err.line, err.column, err.message) == (8, 4, f"expected 'row,seat', got {quoted}")
+        assert len(str(err)) < 110
 
     def test_grid_length_error_position(self):
         with pytest.raises(ParseError) as exc_info:

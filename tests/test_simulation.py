@@ -26,9 +26,11 @@ from seatsim import (
 from seatsim import parse_scenario, policies
 from seatsim.grid import Auditorium, LaneStack, Placement, board_cells
 from support import (
+    assert_lanes_exact,
     center_of_mass_bf,
     entropy_bf,
     exact_mean_trajectory,
+    lanes_of,
     mirrored,
     occupied_cells,
     policy_candidates_bf,
@@ -190,11 +192,9 @@ def _no_own_step(*args):
     raise AssertionError("a run stepped on its own")
 
 
-def _lanes_of(stack: LaneStack, x: int) -> list[int]:
-    """The lanes of a packed int, one per hall of ``stack``, in order."""
-    data = x.to_bytes(stack._bytes * len(stack.halls), "little")
-    step = stack._bytes
-    return [int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)]
+def _columns(trajectories):
+    """Trajectories, a list per run, as a column per step in run order."""
+    return [list(column) for column in zip(*trajectories)]
 
 
 class TestStepMajor:
@@ -213,7 +213,34 @@ class TestStepMajor:
             with monkeypatch.context() as patch:
                 patch.setattr(simulation, "run_once", _no_own_step)
                 patch.setattr(simulation, "select_placement", _no_own_step)
-                assert simulation._run_range(sc, policy, 9, 0, runs) == expected
+                assert simulation._run_range(sc, policy, 9, 0, runs) == _columns(expected)
+
+    def test_lanes_match_run_once_on_random_halls(self, monkeypatch):
+        # Seeded random halls of 1-20 rows, 1, 2, 127, 128 or other seats a
+        # row (one- and two-byte fields), their seats and arrivals, every
+        # rule, 4-33 runs. A case some run finds no room in must fail both
+        # ways; every other case is played by the lanes alone.
+        rng, compared = random.Random(2608), 0
+        for case in range(80):
+            rows, cols = rng.randint(1, 20), rng.choice([1, 2, 127, 128, rng.randint(3, 126)])
+            density = rng.uniform(0, 0.6)
+            seats = tuple((r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)
+                          if rng.random() < density)
+            arrivals = tuple(rng.choice([1, 1, 2, 3, rng.randint(1, min(cols, 9))])
+                             for _ in range(rng.randint(0, 12)))
+            sc = Scenario(rows=rows, cols=cols, initial_occupancy=seats, arrivals=arrivals)
+            policy, runs = POLICY_NAMES[case % len(POLICY_NAMES)], rng.randint(4, 33)
+            try:
+                expected = [run_once(sc, policy, derive_seed(case, run)) for run in range(runs)]
+            except NoFeasiblePlacement:
+                with pytest.raises(NoFeasiblePlacement):
+                    simulation._run_range(sc, policy, case, 0, runs)
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(simulation, "run_once", _no_own_step)
+                assert simulation._run_range(sc, policy, case, 0, runs) == _columns(expected), case
+            compared += 1
+        assert compared >= 50
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_lanes_draw_once_per_step_as_run_once_does(
@@ -246,17 +273,14 @@ class TestStepMajor:
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_lane_sums_and_scores_stay_exact(self, fig1_scenario, wide_hall, monkeypatch, policy):
-        # Before every step and after the last, each hall's sums and score are
-        # those its board recounts to, and its trajectory holds each score.
+        # Before every step and after the last, each lane's board decodes to a
+        # hall whose score is the one the lane keeps and whose center of mass
+        # its ball covers, and the columns hold each step's scores.
         rule, stacks, scores = policies._STARTS[policy], [], []
 
         def check(stack):
-            for hall in stack.halls:
-                fresh = Auditorium._from_board(hall.rows, hall.cols, hall._board)
-                sums = (hall._row_sum, hall._seat_sum, hall._entropy)
-                assert sums == (fresh._row_sum, fresh._seat_sum, fresh._entropy)
-            assert stack._board == stack._pack([hall._board for hall in stack.halls])
-            scores.append([entropy_bf(hall) for hall in stack.halls])
+            assert_lanes_exact(stack, stack._scores)
+            scores.append(list(stack._scores))
 
         def checking(aud, size):
             check(aud)
@@ -268,10 +292,10 @@ class TestStepMajor:
         for sc, runs in ((fig1_scenario, 40), (wide_hall, 8)):
             stacks.clear()
             scores.clear()
-            trajectories = simulation._run_range(sc, policy, 9, 0, runs)
+            columns = simulation._run_range(sc, policy, 9, 0, runs)
             check(stacks[-1])
             assert len(scores) == len(sc.arrivals) + 1
-            assert trajectories == [list(run) for run in zip(*scores)]
+            assert columns == scores
 
     @pytest.mark.parametrize("runs, own", [(1, 1), (3, 3), (4, 0), (9, 0)])
     def test_shards_of_three_runs_or_fewer_share_nothing(
@@ -300,9 +324,9 @@ class TestStepMajor:
         steps, fallbacks, mixed = [], [], []
 
         def recording(aud, size):
-            halls = [hall.copy() for hall in aud.halls]
+            halls = assert_lanes_exact(aud, aud._scores)
             starts = rule(aud, size)
-            steps.append((halls, size, _lanes_of(aud, starts)))
+            steps.append((halls, size, lanes_of(aud, starts)))
             return starts
 
         def scanning(aud, size):
@@ -313,7 +337,7 @@ class TestStepMajor:
             # A rule's own set merged with every feasible spot: the lanes where
             # it is empty fall back, and whether others keep theirs is noted.
             if fallbacks and other is fallbacks[-1]:
-                mixed.append(any(_lanes_of(aud, own)))
+                mixed.append(any(lanes_of(aud, own)))
             return merge(aud, own, other)
 
         monkeypatch.setitem(policies._STARTS, policy, recording)
@@ -323,7 +347,7 @@ class TestStepMajor:
             steps.clear()
             run_many(sc, policy, runs, 5)
             assert len(steps) == len(sc.arrivals)
-            assert all(not hall._board for hall in steps[0][0]) == (not sc.initial_occupancy)
+            assert all(not hall.occupied_count for hall in steps[0][0]) == (not sc.initial_occupancy)
             for halls, size, lanes in steps:
                 assert len(halls) == len(lanes) == runs
                 for hall, lane in zip(halls, lanes):
@@ -552,7 +576,7 @@ class TestShards:
                 return rule(aud, size)
             except NoFeasiblePlacement:
                 # Seats per lane: a shard's lanes have all seated as many.
-                full.append(aud._board.bit_count() // len(getattr(aud, "halls", [aud])))
+                full.append(aud._board.bit_count() // getattr(aud, "lanes", 1))
                 raise
 
         monkeypatch.setitem(policies._STARTS, "random", recording)
