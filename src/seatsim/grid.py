@@ -56,13 +56,13 @@ bit ``k`` set, the row (seat) sum is the sum of ``2**k * popcount(board &
 mask_k)``. The masks of a hall's shape are built in closed form
 (:func:`_bit_slice`) and memoized for the last shape recounted.
 
-The dispersion score of a seating (:func:`entropy`) is defined here too,
-beside the two writers that keep it up to date: within each row, count the
-flips between empty and occupied as the row is read left to right; square
-the per-row count and sum over rows. Densely packed arrangements score near
-0, arrangements full of gaps score high. The score is a plain integer, which
-keeps regression checks exact. It is bounded by rows * (cols - 1)**2,
-attained when every row alternates.
+The dispersion score of a seating (:func:`entropy`) is defined here too:
+within each row, count the flips between empty and occupied as the row is
+read left to right; square the per-row count and sum over rows. It is
+computed when first read after a whole-board write; ``_take`` moves it once read.
+Densely packed arrangements score near 0, arrangements full of gaps score
+high. The score is a plain integer, which keeps regression checks exact. It
+is bounded by rows * (cols - 1)**2, attained when every row alternates.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ def board_cells(bits: int, cols: int) -> Iterator[tuple[int, int]]:
         bits ^= low
 
 
+@functools.lru_cache(maxsize=1)
 def _seat_bits(rows: int, width: int) -> int:
     """Every seat bit of ``rows`` rows: ``width - 1`` ones every ``width`` bits."""
     return ((1 << width - 1) - 1) * ((1 << width * rows) - 1) // ((1 << width) - 1)
@@ -264,7 +265,8 @@ class Auditorium(_Board):
     docstring, plus the sums of occupied row and seat numbers (for the
     center of mass) and the entropy score; the occupant count is the board's
     popcount. Two writers keep them: ``_take`` for one free run and
-    ``_set_board`` for a whole board. ``occupy`` and ``occupy_seats`` only
+    ``_set_board`` for a whole board, which leaves the score ``None`` until
+    :func:`entropy` first reads it. ``occupy`` and ``occupy_seats`` only
     flip seats from empty to occupied. Queries are computed from the board.
     """
 
@@ -272,7 +274,7 @@ class Auditorium(_Board):
         if rows < 1 or cols < 1:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
         super().__init__(rows, cols, rows * (cols + 1), 1)
-        self._board = self._row_sum = self._seat_sum = self._entropy = 0
+        self._board = self._row_sum = self._seat_sum = self._entropy = 0  # an empty hall scores 0
         self.occupy_seats(occupied)
 
     @classmethod
@@ -283,18 +285,21 @@ class Auditorium(_Board):
 
     def _set_board(self, board: int) -> None:
         # Bit k of a row (seat) number adds 2**k to the row (seat) sum for each
-        # seat under its shape's mask; only the score takes a row at a time.
-        cols = self.cols
-        row_masks, seat_masks = _number_masks(self.rows, cols)
-        row_sum = seat_sum = score = 0
+        # seat under its shape's mask; the score waits for ``entropy`` to read it.
+        row_masks, seat_masks = _number_masks(self.rows, self.cols)
+        row_sum = seat_sum = 0
         for k, mask in enumerate(row_masks):
             row_sum += (board & mask).bit_count() << k
         for k, mask in enumerate(seat_masks):
             seat_sum += (board & mask).bit_count() << k
-        flips, inner = board ^ board >> 1, (1 << cols - 1) - 1  # as in ``row_transitions``
+        self._board, self._row_sum, self._seat_sum, self._entropy = board, row_sum, seat_sum, None
+
+    def _score(self) -> int:
+        board, score = self._board, 0
+        flips, inner = board ^ board >> 1, (1 << self.cols - 1) - 1  # as in ``row_transitions``
         for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
             score += (flips >> shift & inner).bit_count() ** 2
-        self._board, self._row_sum, self._seat_sum, self._entropy = board, row_sum, seat_sum, score
+        return score
 
     @classmethod
     def from_rows(cls, lines: Sequence[str]) -> Auditorium:
@@ -310,10 +315,9 @@ class Auditorium(_Board):
         return [format(m, f"0{self.cols}b")[::-1].translate(_GRID_CHARS) for m in masks]
 
     def copy(self) -> Auditorium:
+        """An independent hall with every field of this one, a score not yet
+        read included: both then compute the same score when it is read."""
         dup = object.__new__(Auditorium)
-        # Field by field, in ``__init__``'s order, and without ``vars()``: on CPython
-        # 3.11 a hall whose ``__dict__`` was read or filled as a dict reads every
-        # attribute more slowly (about 9% of a 100-run fig1 batch).
         dup.rows, dup.cols, dup._width = self.rows, self.cols, self._width
         dup._row_mask, dup._valid = self._row_mask, self._valid
         dup._top, dup._tops, dup._fill = self._top, self._tops, self._fill
@@ -380,9 +384,10 @@ class Auditorium(_Board):
         self._board = board | run << low
         self._row_sum += (row + 1) * size
         self._seat_sum += size * (2 * seat + 1 + size) >> 1  # seats seat+1 .. seat+size
-        mask >>= 1  # as in ``row_transitions``
-        now, was = ((new ^ new >> 1) & mask).bit_count(), ((old ^ old >> 1) & mask).bit_count()
-        self._entropy += (now - was) * (now + was)  # now**2 - was**2
+        if self._entropy is not None:  # a score not yet read is counted from the board when read
+            mask >>= 1  # as in ``row_transitions``
+            now, was = ((new ^ new >> 1) & mask).bit_count(), ((old ^ old >> 1) & mask).bit_count()
+            self._entropy += (now - was) * (now + was)  # now**2 - was**2
 
     def occupy_seats(self, coords: Iterable[tuple[int, int]]) -> None:
         """Occupy arbitrary seats in order; the first one off the hall, or taken
@@ -463,8 +468,11 @@ def row_transitions(aud: Auditorium, row: int) -> int:
 
 
 def entropy(aud: Auditorium) -> int:
-    """Sum over rows of the squared transition count, which the hall's two
-    writers, ``_take`` and ``_set_board``, keep up to date."""
+    """Sum over rows of the squared transition count: computed from the
+    board when first read after ``_set_board`` wrote a whole board, then
+    kept, and moved by ``_take`` one run at a time until the next such write."""
+    if aud._entropy is None:
+        aud._entropy = aud._score()
     return aud._entropy
 
 
@@ -503,7 +511,7 @@ class LaneStack(_Board):
         super().__init__(hall.rows, hall.cols, top, ones)
         self.lanes = lanes
         self._board = hall._board * ones
-        self._scores = [hall._entropy] * lanes
+        self._scores = [entropy(hall)] * lanes
         self._row_sums, self._seat_sums = [hall._row_sum] * lanes, [hall._seat_sum] * lanes
         self._drawn: list[tuple[Sequence[int], bytearray, int]] = []  # targets, one-hot, size
         # Each lane bit's row number and seat index, for the sums.

@@ -51,7 +51,7 @@ from __future__ import annotations
 import re
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress
 from typing import Sequence
 
 from .analysis import ChoiceRecord
@@ -136,23 +136,26 @@ class LengthMismatch(ValueError):
     """Trajectories with different step counts were emitted together."""
 
 
-def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based number, text less trailing spaces, tabs and CR) of each non-comment line.
+def _lines(text: str) -> list[str | None]:
+    """Each line less trailing spaces, tabs and CR, line ``i + 1`` at index
+    ``i``; a comment line is ``None``, so the lines after it keep their place.
 
     Blank lines stay, as ``""``, because they separate choices records.
     """
     return [
-        (number, line.rstrip(" \t\r"))
-        for number, line in enumerate(text.split("\n"), start=1)
+        line.rstrip(" \t\r")
         if ";" not in line or not line.lstrip(" \t").startswith(";")  # the cheap test first
+        else None
+        for line in text.split("\n")
     ]
 
 
 class _Lines:
-    """Cursor over effective (non-blank, non-comment) lines."""
+    """Cursor over effective (non-blank, non-comment) lines, numbered."""
 
     def __init__(self, text: str):
-        self.items = [item for item in _numbered_lines(text) if item[1]]
+        lines = _lines(text)
+        self.items = list(compress(enumerate(lines, start=1), lines))
         self.pos = 0
 
     def peek(self) -> tuple[int, str] | None:
@@ -207,9 +210,8 @@ def parse_int(token: str, line: int, column: int, what: str) -> int:
     raise ParseError(line, column, f"{what} must be an integer, got {_quoted(token)}")
 
 
-def _int_field(item: tuple[int, str], keyword: str) -> int:
-    """The value of a numbered ``<keyword> <n>`` line."""
-    line, text = item
+def _int_field(line: int, text: str, keyword: str) -> int:
+    """The value of the ``<keyword> <n>`` line ``line``."""
     tokens = _tokens(line, text)
     if not tokens or tokens[0][1] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {_quoted(text)}")
@@ -219,9 +221,8 @@ def _int_field(item: tuple[int, str], keyword: str) -> int:
     return parse_int(value, line, column, keyword)
 
 
-def _keyword(item: tuple[int, str], keyword: str) -> None:
-    """Check that a numbered line holds only ``keyword``."""
-    line, text = item
+def _keyword(line: int, text: str, keyword: str) -> None:
+    """Check that the line ``line`` holds only ``keyword``."""
     if text.strip(" \t") != keyword:
         _tokens(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"expected '{keyword}', got {_quoted(text)}")
@@ -246,11 +247,11 @@ def parse_scenario(text: str) -> Scenario:
     :func:`validate_scenario` rejects in the parsed scenario.
     """
     cur = _Lines(text)
-    rows = _int_field(cur.take("'rows <n>'"), "rows")
-    cols = _int_field(cur.take("'cols <n>'"), "cols")
+    rows = _int_field(*cur.take("'rows <n>'"), "rows")
+    cols = _int_field(*cur.take("'cols <n>'"), "cols")
     if rows < 1 or cols < 1:  # checked before the grid is read
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
-    _keyword(cur.take("'grid'"), "grid")
+    _keyword(*cur.take("'grid'"), "grid")
     grid = cur.items[cur.pos : cur.pos + rows]
     cur.pos += len(grid)
     try:
@@ -260,7 +261,7 @@ def parse_scenario(text: str) -> Scenario:
     if len(grid) < rows:  # after the rows read, so that their faults win
         cur.take(f"grid row {len(grid) + 1}")
 
-    _keyword(cur.take("'arrivals'"), "arrivals")
+    _keyword(*cur.take("'arrivals'"), "arrivals")
     arrivals: list[int] = []
     item = cur.peek()
     if item is not None and item[1].strip(" \t") != "observed":
@@ -371,29 +372,38 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def parse_choices(text: str) -> list[ChoiceRecord]:
-    """Parse the blank-line separated choices format into records."""
-    blocks = groupby(_numbered_lines(text), key=lambda item: item[1] != "")
-    return [_parse_choice_block(list(block)) for filled, block in blocks if filled]
+    """Parse the blank-line separated choices format into records; a
+    record's lines keep the numbers of their places in ``text``."""
+    lines, records, start = _lines(text) + [""], [], 0  # the last block ends too
+    while start < len(lines):
+        end = lines.index("", start)
+        texts, numbers = lines[start:end], range(start + 1, end + 1)
+        if None in texts:  # a block's lines are not blank, so only a comment is false
+            numbers, texts = list(compress(numbers, texts)), list(filter(None, texts))
+        if texts:
+            records.append(_parse_choice_block(texts, numbers))
+        start = end + 1
+    return records
 
 
-def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
-    group_count = _int_field(lines[0], "groups")
-    if len(lines) < 4:
-        raise ParseError(lines[0][0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'")
+def _parse_choice_block(texts: list[str], numbers: Sequence[int]) -> ChoiceRecord:
+    group_count = _int_field(numbers[0], texts[0], "groups")
+    if len(texts) < 4:
+        raise ParseError(numbers[0], 1, "record needs 'groups', 'grid', grid rows and 'chosen'")
 
-    _keyword(lines[1], "grid")
+    _keyword(numbers[1], texts[1], "grid")
 
-    *grid_lines, (chosen_line, chosen_text) = lines[2:]
     try:
-        configuration = Auditorium.from_rows([text for _, text in grid_lines])
+        configuration = Auditorium.from_rows(texts[2:-1])
     except GridError as exc:
-        line, text = lines[exc.row + 1]
+        line, text = numbers[exc.row + 1], texts[exc.row + 1]
         if not text.lstrip(" \t").startswith("chosen"):
             raise ParseError(line, exc.column, exc.message) from None
-        line, text = lines[exc.row + 2]  # at a 'chosen' line, the fault is the line after it
+        line, text = numbers[exc.row + 2], texts[exc.row + 2]  # the line after 'chosen'
         _tokens(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"unexpected line {_quoted(text)}") from None
 
+    chosen_line, chosen_text = numbers[-1], texts[-1]
     tokens = _tokens(chosen_line, chosen_text)
     if len(tokens) != 2 or tokens[0][1] != "chosen":
         raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {_quoted(chosen_text)}")
@@ -402,7 +412,7 @@ def _parse_choice_block(lines: list[tuple[int, str]]) -> ChoiceRecord:
     try:
         return ChoiceRecord(configuration=configuration, chosen=chosen, group_count=group_count)
     except ValueError as exc:
-        raise ValidationError(f"line {lines[0][0]}: {exc}") from None
+        raise ValidationError(f"line {numbers[0]}: {exc}") from None
 
 
 def _format_number(x: float) -> str:

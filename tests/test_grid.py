@@ -14,13 +14,24 @@ from seatsim import (
     Placement,
     SeatConflict,
     SeatCoord,
+    center_distance_histogram,
     entropy,
     manhattan_distance,
+    nearest_distance_histogram,
     parse_choices,
     parse_scenario,
     policies,
+    simulation,
 )
-from seatsim.grid import GridError, LaneStack, _nth_bit, _number_masks, board_cells, read_grid
+from seatsim.grid import (
+    GridError,
+    LaneStack,
+    _nth_bit,
+    _number_masks,
+    _seat_bits,
+    board_cells,
+    read_grid,
+)
 from support import (
     assert_lanes_exact,
     center_of_mass_bf,
@@ -798,6 +809,21 @@ class TestConstruction:
     def test_copy_carries_every_field(self, aud):
         assert vars(aud.copy()) == vars(aud)
 
+    def test_copy_of_a_score_not_yet_read(self):
+        # Neither hall has read its score when both seat the same group.
+        rng = random.Random(57)
+        for _ in range(100):
+            aud = random_auditorium(rng, max_rows=12, max_cols=20, max_density=0.5)
+            aud = Auditorium.from_rows(aud.to_rows())
+            dup = aud.copy()
+            free = feasible_placements_bf(aud, 1)
+            if not free:
+                continue
+            placement = rng.choice(free)
+            aud.occupy(placement)
+            dup.occupy(placement)
+            assert entropy(dup) == entropy(aud) == entropy_bf(aud)
+
     @given(auditoriums())
     def test_equality_tracks_occupancy(self, aud):
         clone = Auditorium(aud.rows, aud.cols, occupied_cells(aud))
@@ -916,3 +942,89 @@ class TestFromBoard:
         aud = Auditorium(3, 4)
         aud.occupy_seats([])
         assert (aud.occupied_count, aud.center_of_mass(), entropy(aud)) == (0, None, 0)
+
+
+def _choices_text(rng: random.Random, records: int, rows: int, cols: int) -> str:
+    """``records`` choice records on ``rows`` x ``cols`` halls, each with an
+    occupant and a free chosen seat, and every other one with 2 groups."""
+    blocks = []
+    for index in range(records):
+        cells = [(r, s) for r in range(1, rows + 1) for s in range(1, cols + 1)]
+        seated = set(rng.sample(cells, rng.randint(1, len(cells) // 2)))
+        chosen = rng.choice([cell for cell in cells if cell not in seated])
+        grid = ["".join("#" if (r, s) in seated else "." for s in range(1, cols + 1))
+                for r in range(1, rows + 1)]
+        blocks.append("\n".join([f"groups {1 + index % 2}", "grid", *grid, "chosen %d,%d" % chosen]))
+    return "\n\n".join(blocks) + "\n"
+
+
+class TestScoreWhenRead:
+    """A whole-board write leaves the score unknown; ``entropy`` computes it
+    on first read, and ``_take`` moves only a score already read."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        calls = []
+        score = Auditorium._score
+
+        def counted(self):
+            calls.append(self)
+            return score(self)
+
+        monkeypatch.setattr(Auditorium, "_score", counted)
+        return calls
+
+    def test_choice_records_compute_no_score(self, scored):
+        records = parse_choices(_choices_text(random.Random(61), 40, 20, 40))
+        nearest = nearest_distance_histogram(records)
+        center = center_distance_histogram(records)
+        assert (nearest.total, center.total) == (40, 20)
+        assert scored == []
+        for rec in records:
+            assert entropy(rec.configuration) == entropy_bf(rec.configuration)
+        assert len(scored) == len(records)
+
+    def test_read_after_seating(self, scored):
+        rng = random.Random(67)
+        for _ in range(100):
+            aud = random_auditorium(rng, max_rows=10, max_cols=20, max_density=0.4)
+            cells = occupied_cells(aud)
+            halls = [Auditorium.from_rows(aud.to_rows()), Auditorium(aud.rows, aud.cols, cells)]
+            halls.append(Auditorium(aud.rows, aud.cols))
+            halls[-1].occupy_seats(cells)
+            for _ in range(rng.randint(1, 6)):
+                free = feasible_placements_bf(aud, rng.randint(1, 3))
+                if not free:
+                    break
+                placement = rng.choice(free)
+                for hall in (aud, *halls):
+                    hall.occupy(placement)
+            for hall in halls:
+                assert hall == aud
+                assert entropy(hall) == entropy(aud) == entropy_bf(hall)
+            # A score read is kept.
+            calls = len(scored)
+            assert [entropy(hall) for hall in halls] == [entropy_bf(aud)] * 3
+            assert len(scored) == calls
+
+    @pytest.mark.parametrize("policy", ["random", "center", "max"])
+    def test_stack_of_a_hall_not_yet_scored(self, fig1_scenario, policy):
+        # ``_run_range`` stacks a fresh hall, whose score is not yet read;
+        # the columns must be those of a stack of a hall already scored.
+        runs, seed = 12, 5
+        hall = fig1_scenario.initial_auditorium()
+        entropy(hall)
+        stack = LaneStack(hall, runs)
+        rngs = [random.Random(simulation.derive_seed(seed, run)) for run in range(runs)]
+        columns = [[entropy(hall)] * runs]
+        for size in fig1_scenario.arrivals:
+            columns.append(list(stack.take(policies.starts_of(policy)(stack, size), size, rngs)))
+        assert simulation._run_range(fig1_scenario, policy, seed, 0, runs) == columns
+
+    def test_seat_bits_follow_the_shape(self):
+        for rows, cols in [(7, 14), (20, 40), (1, 1), (3, 1), (7, 14)]:
+            seats = sum(1 << (r - 1) * (cols + 1) + s - 1
+                        for r in range(1, rows + 1) for s in range(1, cols + 1))
+            assert Auditorium(rows, cols)._valid == seats
+            assert LaneStack(Auditorium(rows, cols), 1)._valid == seats
+            assert _seat_bits.cache_info().currsize <= 1

@@ -691,6 +691,69 @@ class TestLineEndings:
         assert (exc_info.value.line, exc_info.value.column) == (4, 2)
 
 
+class TestCommentsKeepLineNumbers:
+    """Choice records with comments before and inside them, CRLF line ends
+    and trailing tabs: each fault names the line it is on in the file."""
+
+    LINES = [
+        "; two records, a comment before them",  # line 1
+        "",
+        "groups 2",  # line 3
+        "grid",
+        "#..#",
+        "  ; a comment inside the record",  # line 6
+        "....",
+        "chosen 2,2",  # line 8
+        "",
+        "; a comment between the records",  # line 10
+        "groups 1",
+        "grid",
+        "##..",
+        "chosen 1,4",  # line 14
+    ]
+
+    @staticmethod
+    def _text(lines):
+        return "".join(line + "\t\r\n" for line in lines)
+
+    def test_messy_file_parses_as_the_plain_one(self):
+        plain = "groups 2\ngrid\n#..#\n....\nchosen 2,2\n\ngroups 1\ngrid\n##..\nchosen 1,4\n"
+        messy = parse_choices(self._text(self.LINES))
+        assert [(r.configuration, r.chosen, r.group_count) for r in messy] == [
+            (r.configuration, r.chosen, r.group_count) for r in parse_choices(plain)
+        ]
+
+    @pytest.mark.parametrize(
+        "edits,line,column,message",
+        [
+            ({7: "..x."}, 7, 3, "bad grid character 'x', expected '.' or '#'"),
+            ({8: "chosen 2;2"}, 8, 8, "expected 'row,seat', got '2;2'"),
+            ({9: "; a comment after 'chosen'\t\r\nxyz"}, 10, 1, "unexpected line 'xyz'"),
+            ({7: "..."}, 7, 4, "grid row 2 has 3 characters, expected 4"),
+        ],
+        ids=["grid-row", "chosen-token", "line-after-chosen", "ragged-row"],
+    )
+    def test_parse_error_names_its_line(self, edits, line, column, message):
+        lines = [edits.get(number, text) for number, text in enumerate(self.LINES, start=1)]
+        with pytest.raises(ParseError) as exc_info:
+            parse_choices(self._text(lines))
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (line, column, message)
+
+    @pytest.mark.parametrize(
+        "number,chosen,prefix",
+        [(8, "chosen 1,1", "line 3: "), (14, "chosen 1,2", "line 11: ")],
+        ids=["first-record", "second-record"],
+    )
+    def test_validation_error_names_the_groups_line(self, number, chosen, prefix):
+        lines = list(self.LINES)
+        lines[number - 1] = chosen
+        seat = chosen.split()[1].replace(",", ", ")
+        with pytest.raises(ValidationError) as exc_info:
+            parse_choices(self._text(lines))
+        assert str(exc_info.value) == f"{prefix}chosen seat ({seat}) is already occupied"
+
+
 # Whitespace that is neither a token separator (space, tab) nor a line end.
 _NOT_SEPARATORS = _NOT_LINE_ENDS + ["\x1f", "\xa0", "\u2003", "\u3000"]
 
