@@ -11,7 +11,6 @@ percentages are left to consumers so the output stays exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .grid import Auditorium, Placement, SeatCoord, manhattan_distance
 
@@ -24,29 +23,51 @@ class AllRecordsFiltered(ValueError):
     """The group-count filter removed every record."""
 
 
-@dataclass
-class ChoiceRecord:
+class _Record:
+    """``==`` and ``repr`` over the fields named in ``_fields``, as
+    ``@dataclass`` gives them: equal only to an instance of the same class,
+    and unhashable, since the fields can be reassigned. A subclass writes
+    its ``__init__`` out, which is faster than a loop over ``_fields``."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] == [
+            getattr(other, name) for name in self._fields
+        ]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ChoiceRecord(_Record):
     """One questionnaire answer: configuration shown, seat picked."""
 
-    configuration: Auditorium
-    chosen: SeatCoord
-    group_count: int
+    _fields = ("configuration", "chosen", "group_count")
 
-    def __post_init__(self) -> None:
-        self.chosen = SeatCoord(*self.chosen)
-        if self.group_count < 1:
-            raise ValueError(f"group_count must be >= 1, got {self.group_count}")
-        if self.configuration.occupied_count == 0:
+    def __init__(self, configuration: Auditorium, chosen: SeatCoord, group_count: int) -> None:
+        self.configuration = configuration
+        self.chosen = SeatCoord(*chosen)
+        self.group_count = group_count
+        if group_count < 1:
+            raise ValueError(f"group_count must be >= 1, got {group_count}")
+        if configuration.occupied_count == 0:
             raise ValueError("configuration has nobody seated")
-        if self.configuration.is_occupied(*self.chosen):
+        if configuration.is_occupied(*self.chosen):
             raise ValueError(f"chosen seat {tuple(self.chosen)} is already occupied")
 
 
-@dataclass
-class Histogram:
+class Histogram(_Record):
     """Occurrence counts keyed by integer distance."""
 
-    counts: dict[int, int]
+    _fields = ("counts",)
+
+    def __init__(self, counts: dict[int, int]) -> None:
+        self.counts = counts
 
     @property
     def total(self) -> int:

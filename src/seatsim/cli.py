@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from .analysis import center_distance_histogram, nearest_distance_histogram
 from .grid import entropy
@@ -47,10 +46,11 @@ def _count(text: str) -> int:
     return value
 
 
-def _read(path: Path) -> str:
+def _read(path: str) -> str:
     """The file's text as stored, so a lone CR reaches the parser; a byte
     that is not UTF-8 is a :class:`ParseError` at its line and column."""
-    data = path.read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -70,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="run Monte Carlo entropy trajectories, emit CSV"
     )
-    simulate.add_argument("--scenario", required=True, type=Path)
+    simulate.add_argument("--scenario", required=True)
     simulate.add_argument(
         "--policy", required=True, choices=[*POLICY_NAMES, "all"],
         help="selection rule to simulate, or 'all' for every rule",
     )
     simulate.add_argument("--runs", type=_count, default=1000)
     simulate.add_argument("--seed", type=_integer, default=0)
-    simulate.add_argument("--out", type=Path, help="write CSV here instead of stdout")
+    simulate.add_argument("--out", help="write CSV here instead of stdout")
     simulate.add_argument(
         "--workers", type=_count, default=1,
         help="processes to share the runs (N >= 1; capped at the usable CPUs); "
@@ -85,15 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     replay = sub.add_parser("replay", help="print the recorded real trajectory as CSV")
-    replay.add_argument("--scenario", required=True, type=Path)
+    replay.add_argument("--scenario", required=True)
 
     entropy_cmd = sub.add_parser(
         "entropy", help="print the entropy score of the scenario's initial grid"
     )
-    entropy_cmd.add_argument("--scenario", required=True, type=Path)
+    entropy_cmd.add_argument("--scenario", required=True)
 
     analyze = sub.add_parser("analyze", help="histogram seat-choice distances")
-    analyze.add_argument("--choices", required=True, type=Path)
+    analyze.add_argument("--choices", required=True)
     analyze.add_argument("--metric", required=True, choices=["nearest", "center"])
     analyze.add_argument(
         "--min-groups", type=_integer, default=2,
@@ -113,7 +113,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         named.append(("real", replay_observed(scenario)))
     text = emit_trajectories_csv(named)
     if args.out is not None:
-        args.out.write_text(text, encoding="utf-8", newline="\n")
+        with open(args.out, "w", encoding="utf-8", newline="\n") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -71,7 +71,8 @@ import functools
 import math
 import random
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class SeatConflict(ValueError):
@@ -91,17 +92,13 @@ class GridError(ValueError):
         self.row, self.column, self.message = row, column, message
 
 
-class SeatCoord(NamedTuple):
-    row: int
-    seat: int
+SeatCoord = namedtuple("SeatCoord", "row seat")
 
 
-class Placement(NamedTuple):
+class Placement(namedtuple("Placement", "row start_seat size")):
     """A run of ``size`` seats in ``row`` starting at ``start_seat``."""
 
-    row: int
-    start_seat: int
-    size: int
+    __slots__ = ()
 
     def min_distance_to(self, coord: SeatCoord) -> int:
         """Smallest Manhattan distance from any covered seat to ``coord``.

@@ -25,7 +25,7 @@ only the distances it reads, and the bare free set (d = 0,
 from __future__ import annotations
 
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from .grid import Auditorium, Placement, _Board
 

@@ -49,12 +49,11 @@ its integer entropy as mean with std 0 and min = max = mean.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
 
-from .analysis import ChoiceRecord
+from .analysis import ChoiceRecord, _Record
 from .grid import Auditorium, GridError, SeatCoord, board_cells, read_grid
 
 
@@ -72,8 +71,7 @@ def _row_major(seats):
         return seats
 
 
-@dataclass
-class Scenario:
+class Scenario(_Record):
     """Complete simulation input.
 
     ``initial_occupancy`` seats are taken before step 1; ``arrivals[t-1]``
@@ -84,26 +82,32 @@ class Scenario:
     are left for ``validate_scenario``. No hall is kept.
     """
 
-    rows: int
-    cols: int
-    initial_occupancy: tuple[SeatCoord, ...]
-    arrivals: tuple[int, ...]
-    observed: tuple[tuple[SeatCoord, ...], ...] | None = None
+    _fields = ("rows", "cols", "initial_occupancy", "arrivals", "observed")
 
-    def __post_init__(self) -> None:
-        self.initial_occupancy = _row_major(self.initial_occupancy)
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        initial_occupancy: tuple[SeatCoord, ...],
+        arrivals: tuple[int, ...],
+        observed: tuple[tuple[SeatCoord, ...], ...] | None = None,
+    ) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.initial_occupancy = _row_major(initial_occupancy)
+        self.arrivals = arrivals
+        self.observed = observed
         with suppress(TypeError):  # what is not iterable is left for ``validate_scenario``
-            self.arrivals = tuple(self.arrivals)
-            if self.observed is not None:
-                self.observed = tuple(map(_row_major, self.observed))
+            self.arrivals = tuple(arrivals)
+            if observed is not None:
+                self.observed = tuple(map(_row_major, observed))
 
     def initial_auditorium(self) -> Auditorium:
         """The hall before step 1, built afresh on every call."""
         return Auditorium(self.rows, self.cols, self.initial_occupancy)
 
 
-@dataclass
-class MeanTrajectory:
+class MeanTrajectory(_Record):
     """Per-step aggregate over Monte Carlo runs.
 
     ``std`` is the population standard deviation (the runs are the whole
@@ -111,11 +115,16 @@ class MeanTrajectory:
     the trajectory length.
     """
 
-    mean: list[float]
-    std: list[float]
-    min: list[int]
-    max: list[int]
-    run_count: int
+    _fields = ("mean", "std", "min", "max", "run_count")
+
+    def __init__(
+        self, mean: list[float], std: list[float], min: list[int], max: list[int], run_count: int
+    ) -> None:
+        self.mean = mean
+        self.std = std
+        self.min = min
+        self.max = max
+        self.run_count = run_count
 
 
 class ParseError(ValueError):
@@ -375,10 +384,11 @@ def parse_choices(text: str) -> list[ChoiceRecord]:
     """Parse the blank-line separated choices format into records; a
     record's lines keep the numbers of their places in ``text``."""
     lines, records, start = _lines(text) + [""], [], 0  # the last block ends too
+    comments = ";" in text  # a comment line holds a ';', so without one no block has any
     while start < len(lines):
         end = lines.index("", start)
         texts, numbers = lines[start:end], range(start + 1, end + 1)
-        if None in texts:  # a block's lines are not blank, so only a comment is false
+        if comments and None in texts:  # a block's lines are not blank, so only a comment is false
             numbers, texts = list(compress(numbers, texts)), list(filter(None, texts))
         if texts:
             records.append(_parse_choice_block(texts, numbers))

@@ -477,7 +477,19 @@ class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--scenario", "/nonexistent.scenario")
         assert code == 1
-        assert "error" in err
+        assert err == (
+            "seatsim: error: FileNotFoundError: [Errno 2] No such file or directory: "
+            "'/nonexistent.scenario'\n"
+        )
+
+    def test_out_in_a_missing_directory(self, capsys, scenario_file):
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario_file),
+                                 "--policy", "random", "--runs", "1", "--out", "/nonexistent/x.csv")
+        assert (code, out) == (1, "")
+        assert err == (
+            "seatsim: error: FileNotFoundError: [Errno 2] No such file or directory: "
+            "'/nonexistent/x.csv'\n"
+        )
 
     def test_parse_error_names_location(self, capsys, tmp_path):
         path = tmp_path / "bad.scenario"

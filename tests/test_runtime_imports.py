@@ -23,11 +23,12 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
 
-def _run_python(code, **kwargs):
-    """Run ``code`` in a fresh interpreter that imports seatsim from src/."""
+def _run_python(code, *options, **kwargs):
+    """Run ``code`` in a fresh interpreter, started with the command-line
+    ``options``, that imports seatsim from src/."""
     path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -50,6 +51,17 @@ def test_import_loads_only_the_standard_library():
     assert foreign == []
     # the sharded run_many imports pickle only when it forks
     assert not {"pickle", "multiprocessing", "concurrent.futures", "threading"} & set(loaded)
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_pathlib():
+    # Each took milliseconds of every command's start-up for class
+    # definitions, annotations or path objects alone. ``-S`` skips site,
+    # whose ``.pth`` files may load some of them on their own.
+    result = _run_python("import sys, seatsim.cli; print(*sorted(sys.modules))", "-S")
+    loaded = result.stdout.split()
+    assert "seatsim.cli" in loaded
+    assert [name for name in ("dataclasses", "inspect", "typing", "pathlib")
+            if name in loaded] == []
 
 
 def test_no_process_pool_or_thread_module_in_the_package():

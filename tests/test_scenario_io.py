@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from seatsim import (
     Auditorium,
+    ChoiceRecord,
+    Histogram,
     LengthMismatch,
     MeanTrajectory,
     ParseError,
@@ -835,3 +837,92 @@ class TestTokenSeparators:
         assert [r.chosen for r in parse_choices(two)] == [SeatCoord(1, 2), SeatCoord(1, 1)]
         text = "rows 1\ncols 3\ngrid\n...\narrivals\n1\n"
         assert parse_scenario(text + "\r\n") == parse_scenario(text)
+
+
+_HALL = Auditorium.from_rows(["#.."])  # read by the records below, never written
+
+# Each record class, its fields in order, positional values and the repr they give.
+_RECORDS = {
+    "Scenario": (
+        Scenario, ("rows", "cols", "initial_occupancy", "arrivals", "observed"),
+        (2, 3, ((2, 1), (1, 3)), (1, 2), (((1, 1),), ((2, 2), (2, 3)))),
+        "Scenario(rows=2, cols=3, initial_occupancy=(SeatCoord(row=1, seat=3), "
+        "SeatCoord(row=2, seat=1)), arrivals=(1, 2), observed=((SeatCoord(row=1, seat=1),), "
+        "(SeatCoord(row=2, seat=2), SeatCoord(row=2, seat=3))))",
+    ),
+    "MeanTrajectory": (
+        MeanTrajectory, ("mean", "std", "min", "max", "run_count"),
+        ([0.0, 1.5], [0.0, 0.5], [0, 1], [0, 2], 2),
+        "MeanTrajectory(mean=[0.0, 1.5], std=[0.0, 0.5], min=[0, 1], max=[0, 2], run_count=2)",
+    ),
+    "ChoiceRecord": (
+        ChoiceRecord, ("configuration", "chosen", "group_count"), (_HALL, (1, 3), 2),
+        "ChoiceRecord(configuration=Auditorium(1x3, 1/3 occupied), "
+        "chosen=SeatCoord(row=1, seat=3), group_count=2)",
+    ),
+    "Histogram": (Histogram, ("counts",), ({2: 1, 3: 4},), "Histogram(counts={2: 1, 3: 4})"),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+class TestRecordClasses:
+    """The plain record classes behave as the dataclasses they replaced."""
+
+    def test_repr(self, name):
+        cls, _, values, text = _RECORDS[name]
+        assert repr(cls(*values)) == text
+
+    def test_positional_and_keyword_construction_agree(self, name):
+        cls, fields, values, _ = _RECORDS[name]
+        by_position, by_keyword = cls(*values), cls(**dict(zip(fields, values)))
+        assert by_position == by_keyword
+        assert [getattr(by_position, field) for field in fields] == [
+            getattr(by_keyword, field) for field in fields
+        ]
+        assert list(vars(by_position)) == list(fields)  # plain attributes, in field order
+
+    def test_equality_is_field_by_field(self, name):
+        cls, fields, values, _ = _RECORDS[name]
+        record, other = cls(*values), cls(*values)
+        assert record == other and not record != other
+        setattr(other, fields[-1], "changed")
+        assert record != other
+
+    def test_an_instance_of_another_class_is_never_equal(self, name):
+        cls, fields, values, _ = _RECORDS[name]
+        record = cls(*values)
+        twin = type(f"Sub{name}", (cls,), {})(*values)  # same fields, a subclass
+        assert record.__eq__(twin) is NotImplemented
+        assert record != twin and twin != record
+        assert record != tuple(getattr(record, field) for field in fields)
+
+    def test_is_not_hashable(self, name):
+        cls, _, values, _ = _RECORDS[name]
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(cls(*values))
+
+
+class TestRecordConstruction:
+    def test_scenario_observed_defaults_to_none(self):
+        assert Scenario(2, 3, (), (1,)).observed is None
+        assert Scenario(2, 3, (), (1,)) == Scenario(2, 3, (), (1,), None)
+
+    @pytest.mark.parametrize(
+        "before,inside", [("", ""), ("; before\n", ""), ("", "; inside\n")],
+        ids=["no-comment", "comment-before", "comment-inside"],
+    )
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ("groups 0\ngrid\n#..\nchosen 1,3\n", "group_count must be >= 1, got 0"),
+            ("groups 1\ngrid\n...\nchosen 1,3\n", "configuration has nobody seated"),
+            ("groups 1\ngrid\n#..\nchosen 1,1\n", "chosen seat (1, 1) is already occupied"),
+        ],
+        ids=["group-count", "nobody-seated", "occupied"],
+    )
+    def test_choice_record_errors_name_the_groups_line(self, before, inside, record, message):
+        record = record.replace("grid\n", "grid\n" + inside)
+        text = "groups 1\ngrid\n.#\nchosen 1,1\n\n" + before + record
+        with pytest.raises(ValidationError) as exc_info:
+            parse_choices(text)
+        assert str(exc_info.value) == f"line {7 if before else 6}: {message}"
