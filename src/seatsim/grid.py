@@ -244,7 +244,7 @@ class _Board:
     def _closest(self, starts: int, ball: int) -> int:
         """Each lane's starts of ``starts`` the fewest Manhattan steps from
         its ``ball``, which must be non-empty where ``starts`` is. With
-        ``ball`` the starts whose run covers a seat (``Auditorium._covering``),
+        ``ball`` the starts whose run covers a seat (``Auditorium._balls``),
         these runs are the nearest to that seat: grown d steps, the ball holds
         the starts within d. A lane met drops out of ``starts``."""
         found = 0
@@ -310,17 +310,6 @@ class Auditorium(_Board):
         """Inverse of :meth:`from_rows`."""
         masks = (self._row(r) for r in range(1, self.rows + 1))
         return [format(m, f"0{self.cols}b")[::-1].translate(_GRID_CHARS) for m in masks]
-
-    def copy(self) -> Auditorium:
-        """An independent hall with every field of this one, a score not yet
-        read included: both then compute the same score when it is read."""
-        dup = object.__new__(Auditorium)
-        dup.rows, dup.cols, dup._width = self.rows, self.cols, self._width
-        dup._row_mask, dup._valid = self._row_mask, self._valid
-        dup._top, dup._tops, dup._fill = self._top, self._tops, self._fill
-        dup._board, dup._row_sum = self._board, self._row_sum
-        dup._seat_sum, dup._entropy = self._seat_sum, self._entropy
-        return dup
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Auditorium):
@@ -407,14 +396,10 @@ class Auditorium(_Board):
         row, seat = divmod(_nth_bit(starts, rng.randrange(starts.bit_count())), self._width)
         return Placement(row + 1, seat + 1, size)
 
-    def _covering(self, point: tuple[int, int], size: int) -> int:
-        # The starts whose ``size``-seat run covers the seat ``point``.
-        row, seat = point
-        return ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
-
     def _balls(self, size: int) -> int:
         # The starts whose run covers the center of mass; someone must be seated.
-        return self._covering(self.center_of_mass(), size)
+        row, seat = self.center_of_mass()
+        return ((1 << seat) - (1 << max(seat - size, 0))) << (row - 1) * self._width
 
     def feasible_placements(self, size: int) -> tuple[Placement, ...]:
         """Every placement of ``size`` seats whose run is entirely empty.

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from contextlib import suppress
 from itertools import compress
 
 from .analysis import ChoiceRecord, _Record
@@ -97,10 +96,12 @@ class Scenario(_Record):
         self.initial_occupancy = _row_major(initial_occupancy)
         self.arrivals = arrivals
         self.observed = observed
-        with suppress(TypeError):  # what is not iterable is left for ``validate_scenario``
+        try:
             self.arrivals = tuple(arrivals)
             if observed is not None:
                 self.observed = tuple(map(_row_major, observed))
+        except TypeError:  # what is not iterable is left for ``validate_scenario``
+            pass
 
     def initial_auditorium(self) -> Auditorium:
         """The hall before step 1, built afresh on every call."""

@@ -35,6 +35,7 @@ from seatsim.grid import (
 from support import (
     assert_lanes_exact,
     center_of_mass_bf,
+    covering_bf,
     entropy_bf,
     feasible_placements_bf,
     lane_halls,
@@ -281,7 +282,7 @@ class TestClosest:
     def test_examples_on_a_row_of_nine(self, size, starts, point, expected):
         mask = sum(1 << (s - 1) for s in starts)
         hall = Auditorium(1, 9)
-        found = hall._closest(mask, hall._covering(SeatCoord(*point), size))
+        found = hall._closest(mask, covering_bf(hall, SeatCoord(*point), size))
         assert listed(found, size, 9) == [Placement(1, s, size) for s in expected]
 
     def test_every_row_of_starts_and_every_seat(self):
@@ -292,7 +293,7 @@ class TestClosest:
                 placements = listed(mask, size, cols)
                 for seat in range(1, cols + 1):
                     point = SeatCoord(1, seat)
-                    found = hall._closest(mask, hall._covering(point, size))
+                    found = hall._closest(mask, covering_bf(hall, point, size))
                     assert set(listed(found, size, cols)) == closest_bf(placements, point)
 
     def test_matches_brute_force_across_rows(self):
@@ -307,7 +308,7 @@ class TestClosest:
             ])
             point = SeatCoord(rng.randint(1, rows), rng.randint(1, cols))
             hall = Auditorium(rows, cols)
-            found = hall._closest(starts, hall._covering(point, size))
+            found = hall._closest(starts, covering_bf(hall, point, size))
             assert found & ~starts == 0
             assert set(listed(found, size, cols)) == closest_bf(listed(starts, size, cols), point)
 
@@ -470,14 +471,14 @@ class TestLaneStack:
             runs = [hall._run_starts(xi, size) for xi in xs]
             assert stack._run_starts(x, size) == stack._pack(runs)
             # Each lane's ball grows from its own seat and stops at its own starts.
-            balls = [hall._covering(p, size) for p in points]
+            balls = [covering_bf(hall, p, size) for p in points]
             closest = [hall._closest(xi, ball) for xi, ball in zip(xs, balls)]
             assert stack._closest(x, stack._pack(balls)) == stack._pack(closest)
 
     def test_a_stack_is_not_a_hall(self):
         stack = LaneStack(Auditorium(3, 5, [(1, 1)]), 4)
         assert not issubclass(LaneStack, Auditorium)
-        for name in ("occupied_count", "center_of_mass", "copy", "occupy", "to_rows", "halls"):
+        for name in ("occupied_count", "center_of_mass", "occupy", "to_rows", "halls"):
             assert not hasattr(stack, name), name
         # Nor does it hold one: a lane keeps only its score and sums.
         assert not any(isinstance(value, Auditorium) or isinstance(value, list)
@@ -693,7 +694,7 @@ class TestOccupy:
             pl = Placement(
                 rng.randint(0, aud.rows + 1), rng.randint(-1, aud.cols + 1), rng.randint(1, 5)
             )
-            whole, seatwise = aud.copy(), aud.copy()
+            whole, seatwise = aud, Auditorium._from_board(aud.rows, aud.cols, aud._board)
             assert outcome(whole, lambda: whole.occupy(pl)) == outcome(
                 seatwise, lambda: seatwise.occupy_seats(placement_seats(pl))
             )
@@ -703,7 +704,7 @@ class TestOccupy:
     def test_nonpositive_size_is_rejected(self, size, row):
         # A run of no seats is refused, even in a row off the hall.
         aud = Auditorium(2, 3, [(1, 2)])
-        before = aud.copy()
+        before = Auditorium._from_board(aud.rows, aud.cols, aud._board)
         with pytest.raises(ValueError, match=f"group size must be positive, got {size}"):
             aud.occupy(Placement(row, 1, size))
         assert aud == before
@@ -722,7 +723,7 @@ class TestOccupy:
         # As seat by seat, the first seat that is taken or off the hall decides
         # the error, found without building a run as wide as the group.
         aud = Auditorium(7, 14, [(2, 4)])
-        before = aud.copy()
+        before = Auditorium._from_board(aud.rows, aud.cols, aud._board)
         began = time.perf_counter()
         with pytest.raises(error, match=re.escape(message)):
             aud.occupy(placement)
@@ -741,7 +742,7 @@ class TestOccupy:
         rng = random.Random(23)
         for _ in range(200):
             aud = random_auditorium(rng, max_rows=20, max_cols=40, max_density=0.4)
-            before = aud.copy()
+            before = Auditorium._from_board(aud.rows, aud.cols, aud._board)
             cells = [(r, s) for r in range(1, aud.rows + 1) for s in range(1, aud.cols + 1)]
             seats = rng.sample(cells, rng.randint(1, min(6, len(cells))))
             seats.insert(rng.randrange(len(seats) + 1), rng.choice(cells + [(0, 1), (1, aud.cols + 1)]))
@@ -796,33 +797,6 @@ class TestConstruction:
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValueError, match="auditorium must be at least 1x1, got 0x3"):
             Auditorium(0, 3)
-
-    def test_copy_is_independent(self):
-        aud = Auditorium(2, 3, [(1, 1)])
-        dup = aud.copy()
-        dup.occupy(Placement(2, 1, 2))
-        assert aud.occupied_count == 1
-        assert dup.occupied_count == 3
-        assert aud != dup
-
-    @given(auditoriums())
-    def test_copy_carries_every_field(self, aud):
-        assert vars(aud.copy()) == vars(aud)
-
-    def test_copy_of_a_score_not_yet_read(self):
-        # Neither hall has read its score when both seat the same group.
-        rng = random.Random(57)
-        for _ in range(100):
-            aud = random_auditorium(rng, max_rows=12, max_cols=20, max_density=0.5)
-            aud = Auditorium.from_rows(aud.to_rows())
-            dup = aud.copy()
-            free = feasible_placements_bf(aud, 1)
-            if not free:
-                continue
-            placement = rng.choice(free)
-            aud.occupy(placement)
-            dup.occupy(placement)
-            assert entropy(dup) == entropy(aud) == entropy_bf(aud)
 
     @given(auditoriums())
     def test_equality_tracks_occupancy(self, aud):

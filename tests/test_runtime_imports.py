@@ -108,6 +108,44 @@ def _imported(tree, module):
             for alias in node.names]
 
 
+def _absolute_imports(tree):
+    """The top-level names of the modules a module imports by absolute name."""
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return {name.partition(".")[0] for name in names}
+
+
+def test_no_module_imports_contextlib():
+    # It cost the command line's start-up 0.6-0.85 ms on 3.11 for one
+    # ``suppress``. Another Python's standard library may load it on its own,
+    # so the sources are read, not a fresh process's modules.
+    assert [name for name, tree in _trees().items() if "contextlib" in _absolute_imports(tree)] == []
+
+
+_HALL_STATE = {"_board", "_row_sum", "_seat_sum", "_entropy"}
+
+
+def _stores(tree, attrs):
+    """``(scope, attr)`` for each store to an attribute named in ``attrs``,
+    ``scope`` the dotted names of the classes and functions around it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in attrs
+                    and not isinstance(child.ctx, ast.Load)):
+                found.append((".".join(scope), child.attr))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
 def _error_classes():
     """Every exception class a seatsim module defines, by name."""
     import importlib
@@ -145,6 +183,26 @@ class TestOwnership:
         users = {name for name, tree in _trees().items() for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == attr}
         assert users == {"grid.py"}
+
+    def test_the_hall_state_has_its_writers_only(self):
+        # A hall's constructor and its two writers, ``_take`` for one run and
+        # ``_set_board`` for a whole board; ``entropy`` on a score's first
+        # read; a lane stack's constructor and step. A new field then has
+        # one place to be kept up to date.
+        writers = {"Auditorium.__init__", "Auditorium._set_board", "Auditorium._take",
+                   "entropy", "LaneStack.__init__", "LaneStack.take"}
+        stores = _stores(_trees()["grid.py"], _HALL_STATE)
+        assert {attr for _, attr in stores} == _HALL_STATE
+        assert sorted({scope for scope, _ in stores} - writers) == []
+
+    def test_stores_include_tuple_and_chained_targets(self):
+        tree = ast.parse("class A:\n def f(s, d):\n  d.x, d._board = s._seat_sum = 1, 2\n"
+                         "  d._entropy += s._row_sum\n  del d._row_sum\n"
+                         "def g(a):\n a._entropy = 0\n")
+        assert _stores(tree, _HALL_STATE) == [
+            ("A.f", "_board"), ("A.f", "_seat_sum"), ("A.f", "_entropy"), ("A.f", "_row_sum"),
+            ("g", "_entropy"),
+        ]
 
     def test_cli_names_no_error_class_but_parse_error(self):
         # ``main`` catches every bad-input error as a ValueError, not by name.
