@@ -51,8 +51,16 @@ class ChoiceRecord(_Record):
 
     def __init__(self, configuration: Auditorium, chosen: SeatCoord, group_count: int) -> None:
         self.configuration = configuration
-        self.chosen = SeatCoord(*chosen)
+        try:
+            row, seat = chosen
+        except (TypeError, ValueError):
+            raise ValueError(f"chosen seat {chosen!r} is not a pair of integers") from None
+        if type(row) is not int or type(seat) is not int:  # ``True`` would be written as text
+            raise ValueError(f"chosen seat {(row, seat)} is not a pair of integers")
+        self.chosen = SeatCoord(row, seat)
         self.group_count = group_count
+        if type(group_count) is not int:
+            raise ValueError(f"group_count must be an integer, got {group_count!r}")
         if group_count < 1:
             raise ValueError(f"group_count must be >= 1, got {group_count}")
         if configuration.occupied_count == 0:

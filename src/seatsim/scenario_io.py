@@ -18,6 +18,15 @@ than a space or tab is ``;`` are comments (``#`` marks an occupied seat,
 so it cannot introduce comments). A number is ASCII digits with an
 optional sign.
 
+A token line (``rows``, ``cols``, ``groups``, the arrival sizes, an
+observed step, ``chosen``) is read in bulk when it is plain: ASCII and
+printable, so spaces are its only whitespace, with ASCII digits wherever
+a number goes. ``split``, ``partition`` and ``isdigit`` decide such a line
+and ``int`` reads it, with no column worked out. Any other line (a sign, a
+tab, a non-ASCII digit, any fault, or more digits than ``int`` reads, which
+its ``ValueError`` shows) is read again token by token, which accepts what
+the format allows and raises the first fault at its column.
+
 Scenario format::
 
     rows 7
@@ -222,6 +231,18 @@ def parse_int(token: str, line: int, column: int, what: str) -> int:
 
 def _int_field(line: int, text: str, keyword: str) -> int:
     """The value of the ``<keyword> <n>`` line ``line``."""
+    if text.isascii() and text.isprintable():
+        tokens = text.split()
+        if len(tokens) == 2 and tokens[0] == keyword and tokens[1].isdigit():
+            try:
+                return int(tokens[1])
+            except ValueError:  # more digits than ``int`` reads
+                pass
+    return _int_field_by_column(line, text, keyword)
+
+
+def _int_field_by_column(line: int, text: str, keyword: str) -> int:
+    """:func:`_int_field` token by token, a fault raised at its column."""
     tokens = _tokens(line, text)
     if not tokens or tokens[0][1] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {_quoted(text)}")
@@ -247,6 +268,76 @@ def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
         parse_int(row_part, line, column, "row"),
         parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
     )
+
+
+def _sizes(line: int, text: str) -> list[int]:
+    """The group sizes of the arrival sizes line ``line``."""
+    if text.isascii() and text.isprintable():
+        sizes = text.split()
+        if "".join(sizes).isdigit():
+            try:
+                return list(map(int, sizes))
+            except ValueError:  # more digits than ``int`` reads
+                pass
+    return _sizes_by_column(line, text)
+
+
+def _sizes_by_column(line: int, text: str) -> list[int]:
+    """:func:`_sizes` token by token, a fault raised at its column."""
+    return [parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
+
+
+def _seats(line: int, text: str, step: int) -> list[tuple[int, int]]:
+    """The seats of observed step ``step``, read from line ``line``."""
+    head, _, seats = text.partition(":")
+    tokens = seats.split()
+    numbers = ",".join(tokens).split(",")
+    # As many commas as tokens and no token all digits: one comma in each
+    # token; a number left empty fails ``int``.
+    if (text.isascii() and text.isprintable() and (head + "".join(numbers)).isdigit()
+            and len(numbers) == 2 * len(tokens) and not any(map(str.isdigit, tokens))):
+        try:
+            if int(head) == step:
+                numbers = iter(map(int, numbers))
+                return list(zip(numbers, numbers))
+        except ValueError:  # an empty number, or more digits than ``int`` reads
+            pass
+    return _seats_by_column(line, text, step)
+
+
+def _seats_by_column(line: int, text: str, step: int) -> list[tuple[int, int]]:
+    """:func:`_seats` token by token, a fault raised at its column."""
+    head, colon, _ = text.partition(":")
+    tokens = _tokens(line, text, len(head) + 1)
+    if not colon:
+        raise ParseError(line, 1, "expected '<step>: row,seat ...'")
+    number = parse_int(head.strip(), line, 1, "step number")
+    if number != step:
+        raise ValidationError(f"line {line}: observed step {number} out of order, expected {step}")
+    return [_parse_coord(t, line, c) for c, t in tokens]
+
+
+def _chosen(line: int, text: str) -> tuple[int, int]:
+    """The seat of the ``chosen row,seat`` line ``line``."""
+    if text.isascii() and text.isprintable():
+        tokens = text.split()
+        if len(tokens) == 2 and tokens[0] == "chosen":
+            row, _, seat = tokens[1].partition(",")
+            if row.isdigit() and seat.isdigit():
+                try:
+                    return int(row), int(seat)
+                except ValueError:  # more digits than ``int`` reads
+                    pass
+    return _chosen_by_column(line, text)
+
+
+def _chosen_by_column(line: int, text: str) -> tuple[int, int]:
+    """:func:`_chosen` token by token, a fault raised at its column."""
+    tokens = _tokens(line, text)
+    if len(tokens) != 2 or tokens[0][1] != "chosen":
+        raise ParseError(line, 1, f"expected 'chosen row,seat', got {_quoted(text)}")
+    column, value = tokens[1]
+    return _parse_coord(value, line, column)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -275,29 +366,14 @@ def parse_scenario(text: str) -> Scenario:
     arrivals: list[int] = []
     item = cur.peek()
     if item is not None and item[1].strip(" \t") != "observed":
-        line, text = cur.take("arrival sizes")
-        arrivals = [parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
+        arrivals = _sizes(*cur.take("arrival sizes"))
 
-    observed: list[list[tuple[int, int]]] | None = None
+    observed = None
     item = cur.peek()
     if item is not None and item[1].strip(" \t") == "observed":
-        cur.take("'observed'")
-        observed = []
-        while cur.peek() is not None:
-            line, text = cur.take("observed step")
-            head, colon, _ = text.partition(":")
-            tokens = _tokens(line, text, len(head) + 1)
-            if not colon:
-                raise ParseError(line, 1, "expected '<step>: row,seat ...'")
-            step = parse_int(head.strip(), line, 1, "step number")
-            if step != len(observed) + 1:
-                raise ValidationError(
-                    f"line {line}: observed step {step} out of order, expected {len(observed) + 1}"
-                )
-            observed.append([_parse_coord(t, line, c) for c, t in tokens])
-
-    item = cur.peek()
-    if item is not None:
+        steps = enumerate(cur.items[cur.pos + 1 :], start=1)  # every line left is a step
+        observed = tuple([_seats(line, text, step) for step, (line, text) in steps])
+    elif item is not None:
         _tokens(*item)  # a stray whitespace character is the error
         raise ParseError(item[0], 1, f"unexpected line {_quoted(item[1])}")
 
@@ -306,7 +382,7 @@ def parse_scenario(text: str) -> Scenario:
         cols=cols,
         initial_occupancy=tuple(board_cells(board, cols)),
         arrivals=tuple(arrivals),
-        observed=tuple(observed) if observed is not None else None,
+        observed=observed,
     )
     validate_scenario(scenario)
     return scenario
@@ -414,12 +490,7 @@ def _parse_choice_block(texts: list[str], numbers: Sequence[int]) -> ChoiceRecor
         _tokens(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"unexpected line {_quoted(text)}") from None
 
-    chosen_line, chosen_text = numbers[-1], texts[-1]
-    tokens = _tokens(chosen_line, chosen_text)
-    if len(tokens) != 2 or tokens[0][1] != "chosen":
-        raise ParseError(chosen_line, 1, f"expected 'chosen row,seat', got {_quoted(chosen_text)}")
-    column, value = tokens[1]
-    chosen = _parse_coord(value, chosen_line, column)
+    chosen = _chosen(numbers[-1], texts[-1])
     try:
         return ChoiceRecord(configuration=configuration, chosen=chosen, group_count=group_count)
     except ValueError as exc:

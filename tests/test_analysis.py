@@ -64,6 +64,30 @@ class TestChoiceRecord:
         with pytest.raises(ValueError, match="group_count must be >= 1, got 0"):
             ChoiceRecord(configuration=aud, chosen=SeatCoord(1, 3), group_count=0)
 
+    @pytest.mark.parametrize(
+        "chosen,group_count,message",
+        [
+            ((1, 2, 3), 1, "chosen seat (1, 2, 3) is not a pair of integers"),
+            ((1,), 1, "chosen seat (1,) is not a pair of integers"),
+            (5, 1, "chosen seat 5 is not a pair of integers"),
+            ((1, "2"), 1, "chosen seat (1, '2') is not a pair of integers"),
+            ((1.0, 2), 1, "chosen seat (1.0, 2) is not a pair of integers"),
+            # ``bool`` is an ``int`` subclass, but ``True`` is written as text.
+            ((1, True), 1, "chosen seat (1, True) is not a pair of integers"),
+            ((1, 2), "1", "group_count must be an integer, got '1'"),
+            ((1, 2), 1.0, "group_count must be an integer, got 1.0"),
+            ((1, 2), True, "group_count must be an integer, got True"),
+        ],
+        ids=["triple", "single", "int", "str-seat", "float-row", "bool-seat",
+             "str-count", "float-count", "bool-count"],
+    )
+    def test_rejects_what_is_not_integers_with_a_value_error(self, chosen, group_count, message):
+        # Unchecked, each gives a ``TypeError`` or, for ``True``, passes as an integer.
+        aud = Auditorium.from_rows(["#.."])
+        with pytest.raises(ValueError) as exc_info:
+            ChoiceRecord(configuration=aud, chosen=chosen, group_count=group_count)
+        assert str(exc_info.value) == message
+
 
 class TestNearestDistanceHistogram:
     def test_adjacent_choice_bins_at_one(self):

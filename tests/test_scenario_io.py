@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from seatsim import (
     Auditorium,
@@ -21,9 +22,13 @@ from seatsim import (
     serialize_scenario,
     validate_scenario,
 )
+from seatsim import scenario_io
 from support import MALFORMED_SCENARIOS, VALID_MINIMAL
 
 ERROR_TYPES = {"ParseError": ParseError, "ValidationError": ValidationError}
+
+# A scenario of one group of one, up to its first observed step.
+_OBSERVED = "rows 1\ncols 3\ngrid\n...\narrivals\n1\nobserved\n"
 
 
 def random_scenario(rng: random.Random) -> Scenario:
@@ -149,6 +154,30 @@ class TestParseScenario:
         quoted = repr("x" * shown) + ("" if shown == length else f"... ({length} characters)")
         assert (err.line, err.column, err.message) == (8, 4, f"expected 'row,seat', got {quoted}")
         assert len(str(err)) < 110
+
+    @pytest.mark.parametrize(
+        "parser,text,line,column,what",
+        [
+            (parse_scenario, "rows 1\ncols {}\n", 2, 6, "cols"),
+            (parse_scenario, "rows 1\ncols 3\ngrid\n...\narrivals\n1 {}\n", 6, 3, "group size"),
+            (parse_scenario, f"{_OBSERVED}{{}}: 1,1\n", 8, 1, "step number"),
+            (parse_scenario, f"{_OBSERVED}1: {{}},1\n", 8, 4, "row"),
+            (parse_scenario, f"{_OBSERVED}1: 1,{{}}\n", 8, 6, "seat"),
+            (parse_choices, "groups {}\ngrid\n#.\nchosen 1,2\n", 1, 8, "groups"),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen {},2\n", 4, 8, "row"),
+            (parse_choices, "groups 1\ngrid\n#.\nchosen 1,{}\n", 4, 10, "seat"),
+        ],
+        ids=["cols", "arrivals", "step", "observed-row", "observed-seat", "groups",
+             "chosen-row", "chosen-seat"],
+    )
+    def test_every_integer_token_names_too_many_digits(self, parser, text, line, column, what):
+        # ``int`` reads at most 4300 digits by default; the ``ValueError`` it
+        # raises past that must become the token's own ``ParseError``.
+        with pytest.raises(ParseError) as exc_info:
+            parser(text.format("9" * 4301))
+        err = exc_info.value
+        message = f"{what} must be an integer, got '{'9' * 40}'... (4301 characters)"
+        assert (err.line, err.column, err.message) == (line, column, message)
 
     def test_grid_length_error_position(self):
         with pytest.raises(ParseError) as exc_info:
@@ -434,20 +463,33 @@ class TestEmitTrajectoriesCsv:
 # Text for the parser fuzz tests: lines built from the formats' keywords,
 # small (also non-positive) numbers, coordinates and grid characters, laid
 # out either freely or along the scenario/choices skeleton with a few lines
-# inserted, replaced or dropped so that the deeper checks are reached.
-_NUMBER = st.integers(-1, 5).map(str)
+# inserted, replaced or dropped so that the deeper checks are reached. The
+# numbers also come with a sign, a leading zero, as a non-ASCII digit or
+# with more digits than ``int`` reads, and tokens are also separated by
+# tabs, so that lines the bulk readers decline are reached too.
+_NUMBER = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.integers(0, 5).map("+{}".format),
+    st.integers(0, 5).map("0{}".format),
+    st.just("\u0661"),
+    st.just("9" * 4301),
+)
 _COORD = st.tuples(_NUMBER, _NUMBER).map(",".join)
 _GRID_ROW = st.text(".#", max_size=5)
-_LINE = st.one_of(
-    st.tuples(
-        st.sampled_from(["rows", "cols", "grid", "arrivals", "observed", "groups", "chosen"]),
-        st.lists(st.one_of(_NUMBER, _COORD), max_size=2),
-    ).map(lambda t: " ".join([t[0], *t[1]])),
-    _GRID_ROW,
-    st.lists(_NUMBER, min_size=1, max_size=3).map(" ".join),
-    st.tuples(_NUMBER, st.lists(_COORD, max_size=3)).map(lambda t: f"{t[0]}: {' '.join(t[1])}"),
-    st.text(".#,:; 0123456789x-", max_size=8),
-)
+_SEP = st.sampled_from([" ", "\t", " \t "])
+_LINE = st.tuples(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["rows", "cols", "grid", "arrivals", "observed", "groups", "chosen"]),
+            st.lists(st.one_of(_NUMBER, _COORD), max_size=2),
+        ).map(lambda t: " ".join([t[0], *t[1]])),
+        _GRID_ROW,
+        st.lists(_NUMBER, min_size=1, max_size=3).map(" ".join),
+        st.tuples(_NUMBER, st.lists(_COORD, max_size=3)).map(lambda t: f"{t[0]}: {' '.join(t[1])}"),
+        st.text(".#,:; 0123456789x-+", max_size=8),
+    ),
+    _SEP,
+).map(lambda t: t[0].replace(" ", t[1]))
 
 
 @st.composite
@@ -468,10 +510,11 @@ def _scenario_skeleton(draw):
     rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     lines = [f"rows {rows}", f"cols {cols}", "grid"]
     lines += draw(st.lists(st.text(".#", min_size=cols, max_size=cols), min_size=rows, max_size=rows))
-    lines += ["arrivals", " ".join(draw(st.lists(_NUMBER, max_size=3)))]
+    sep = draw(_SEP)
+    lines += ["arrivals", sep.join(draw(st.lists(_NUMBER, max_size=3)))]
     if draw(st.booleans()):
         steps = draw(st.lists(st.lists(_COORD, max_size=2), max_size=3))
-        lines += ["observed", *(f"{i}: {' '.join(c)}" for i, c in enumerate(steps, start=1))]
+        lines += ["observed", *(f"{i}:{sep}{sep.join(c)}" for i, c in enumerate(steps, start=1))]
     return lines
 
 
@@ -510,6 +553,132 @@ class TestParserFuzz:
             parse_choices(text)
         except (ParseError, ValidationError):
             pass
+
+
+# Tokens of the token lines: plain digits, also with leading zeros, and
+# what the bulk readers leave to the column-aware code: more digits than
+# ``int`` reads, a sign, an underscore, a non-ASCII digit, a letter,
+# nothing, a stray comma or colon, a pair where one number goes. They are
+# separated by spaces, tabs or a whitespace character that is no separator.
+_DIGITS = st.one_of(st.integers(0, 60).map(str), st.integers(0, 9).map("00{}".format))
+_PIECE = st.one_of(
+    _DIGITS, st.sampled_from(["9" * 4301, "+1", "-2", "1_0", "\u0661", "x", "", ",", "1,2", ":"])
+)
+
+
+def _spaced(tokens, gap, min_size=1, max_size=4):
+    """Lines of ``tokens``, each after a separator drawn from ``gap``."""
+    return st.lists(st.tuples(gap, tokens), min_size=min_size, max_size=max_size).map(
+        lambda pairs: "".join(g + token for g, token in pairs)
+    )
+
+
+# ``(text, arguments)`` of each token line: lines that are plain, and lines
+# of any tokens and separators.
+_STEP, _SPACES = st.integers(1, 3), st.sampled_from([" ", "  "])
+_PLAIN_PAIRS = st.tuples(_DIGITS, _DIGITS).map(",".join)
+_PLAIN_LINES = {
+    "int-field": _spaced(_DIGITS, _SPACES, 1, 1).map(lambda text: (f"rows{text}", ("rows",))),
+    "sizes": _spaced(_DIGITS, _SPACES).map(lambda text: (text, ())),
+    "seats": st.one_of(
+        st.tuples(_STEP, st.sampled_from(["", "0"]), _spaced(_PLAIN_PAIRS, _SPACES)).map(
+            lambda t: (f"{t[1]}{t[0]}:{t[2]}", (t[0],))
+        ),
+        # Numbers each after a comma or a space: pairs only where they alternate.
+        st.tuples(_STEP, _spaced(_DIGITS, st.sampled_from([",", " "]), 2, 6)).map(
+            lambda t: (f"{t[0]}: {t[1][1:]}", (t[0],))
+        ),
+    ),
+    "chosen": _spaced(_PLAIN_PAIRS, _SPACES, 1, 1).map(lambda text: (f"chosen{text}", ())),
+}
+_GAP = st.sampled_from([" ", "\t", " \t", "\xa0"])
+_PAIR = st.one_of(st.tuples(_PIECE, _PIECE).map(",".join), _PIECE)
+_OTHER_LINES = {
+    "int-field": st.tuples(st.sampled_from(["rows", "cols", ""]), _spaced(_PIECE, _GAP)).map(
+        lambda t: ("".join(t), ("rows",))
+    ),
+    "sizes": _spaced(_PIECE, _GAP).map(lambda text: (text, ())),
+    "seats": st.tuples(
+        st.none() | _PIECE, st.sampled_from([":", ""]), _spaced(_PAIR, _GAP), _STEP
+    ).map(lambda t: (f"{t[3] if t[0] is None else t[0]}{t[1]}{t[2]}", (t[3],))),  # None: the step
+    "chosen": st.tuples(st.sampled_from(["chosen", "chose"]), _spaced(_PAIR, _GAP)).map(
+        lambda t: ("".join(t), ())
+    ),
+}
+# Each token line's reader and the column-aware reader it falls back to.
+_READERS = {
+    "int-field": (scenario_io._int_field, "_int_field_by_column"),
+    "sizes": (scenario_io._sizes, "_sizes_by_column"),
+    "seats": (scenario_io._seats, "_seats_by_column"),
+    "chosen": (scenario_io._chosen, "_chosen_by_column"),
+}
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), exc.args
+
+
+class TestBulkReaders:
+    """A token line that is plain (ASCII, printable, digits where numbers
+    go) is read in bulk; any other goes to the column-aware code, which
+    raises the error at its column. Both give the same."""
+
+    @pytest.mark.parametrize("kind", list(_READERS))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_line_read_in_bulk_reads_as_by_column(self, kind, data):
+        reader, fallback = _READERS[kind]
+        text, arguments = data.draw(st.one_of(_PLAIN_LINES[kind], _OTHER_LINES[kind]))
+        args = (3, text.rstrip(" \t\r"), *arguments)  # as the line reader leaves it
+        by_column, declined = getattr(scenario_io, fallback), []
+
+        def spy(*args):
+            declined.append(args)
+            return by_column(*args)
+
+        with mock.patch.object(scenario_io, fallback, spy):
+            outcome = _outcome(reader, *args)
+        event("declined" if declined else "read in bulk")
+        assert declined in ([], [args])
+        assert outcome == _outcome(by_column, *args)
+
+    @pytest.mark.parametrize(
+        "kind,text,args,value",
+        [
+            ("int-field", "rows 007", ("rows",), 7),
+            ("int-field", "  rows   12", ("rows",), 12),
+            ("sizes", "2 01  3", (), [2, 1, 3]),
+            ("seats", "2: 1,2 03,4", (2,), [(1, 2), (3, 4)]),
+            ("seats", "02:1,2", (2,), [(1, 2)]),
+            ("chosen", "  chosen 1,02", (), (1, 2)),
+        ],
+    )
+    def test_plain_lines_are_read_in_bulk(self, kind, text, args, value):
+        reader, fallback = _READERS[kind]
+        with mock.patch.object(scenario_io, fallback, mock.Mock(side_effect=AssertionError)):
+            assert reader(1, text, *args) == value
+
+    @pytest.mark.parametrize(
+        "kind,text,args,value",
+        [
+            ("int-field", "rows\t7", ("rows",), 7),
+            ("int-field", "rows +7", ("rows",), 7),
+            ("sizes", "2 +1", (), [2, 1]),
+            ("seats", "1:\t1,2", (1,), [(1, 2)]),
+            ("seats", "+1: 1,2", (1,), [(1, 2)]),
+            ("seats", "1: 1,+2", (1,), [(1, 2)]),
+            ("chosen", "chosen -1,2", (), (-1, 2)),
+        ],
+    )
+    def test_a_sign_or_a_tab_is_read_by_column(self, kind, text, args, value):
+        reader, fallback = _READERS[kind]
+        by_column = mock.Mock(wraps=getattr(scenario_io, fallback))
+        with mock.patch.object(scenario_io, fallback, by_column):
+            assert reader(1, text, *args) == value
+        by_column.assert_called_once_with(1, text, *args)
 
 
 class TestGridFaultPrecedence:
