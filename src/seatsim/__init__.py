@@ -17,12 +17,10 @@ from .analysis import (
 from .grid import (
     Auditorium,
     Placement,
-    RowOutOfRange,
     SeatConflict,
     SeatCoord,
     entropy,
     manhattan_distance,
-    row_transitions,
 )
 from .policies import POLICY_NAMES, NoFeasiblePlacement, select_placement
 from .scenario_io import (
@@ -59,7 +57,6 @@ __all__ = [
     "POLICY_NAMES",
     "ParseError",
     "Placement",
-    "RowOutOfRange",
     "Scenario",
     "SeatConflict",
     "SeatCoord",
@@ -74,7 +71,6 @@ __all__ = [
     "parse_choices",
     "parse_scenario",
     "replay_observed",
-    "row_transitions",
     "run_many",
     "run_once",
     "select_placement",

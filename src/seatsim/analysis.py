@@ -63,10 +63,12 @@ class ChoiceRecord(_Record):
             raise ValueError(f"group_count must be an integer, got {group_count!r}")
         if group_count < 1:
             raise ValueError(f"group_count must be >= 1, got {group_count}")
+        if not isinstance(configuration, Auditorium):
+            raise ValueError(f"configuration must be an Auditorium, got {configuration!r}")
         if configuration.occupied_count == 0:
             raise ValueError("configuration has nobody seated")
-        if configuration.is_occupied(*self.chosen):
-            raise ValueError(f"chosen seat {tuple(self.chosen)} is already occupied")
+        if configuration.is_occupied(row, seat):
+            raise ValueError(f"chosen seat {(row, seat)} is already occupied")
 
 
 class Histogram(_Record):

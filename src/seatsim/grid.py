@@ -79,10 +79,6 @@ class SeatConflict(ValueError):
     """An already occupied seat would be occupied a second time."""
 
 
-class RowOutOfRange(Exception):
-    """A row index outside 1..rows was requested."""
-
-
 class GridError(ValueError):
     """A grid row of the wrong length or with a character other than ``.``
     and ``#``; carries the 1-based row and column and the bare message."""
@@ -293,7 +289,7 @@ class Auditorium(_Board):
 
     def _score(self) -> int:
         board, score = self._board, 0
-        flips, inner = board ^ board >> 1, (1 << self.cols - 1) - 1  # as in ``row_transitions``
+        flips, inner = board ^ board >> 1, (1 << self.cols - 1) - 1  # inner: a row's cols - 1 pairs
         for shift in range(0, board.bit_length(), self._width):  # empty rows add 0
             score += (flips >> shift & inner).bit_count() ** 2
         return score
@@ -371,7 +367,7 @@ class Auditorium(_Board):
         self._row_sum += (row + 1) * size
         self._seat_sum += size * (2 * seat + 1 + size) >> 1  # seats seat+1 .. seat+size
         if self._entropy is not None:  # a score not yet read is counted from the board when read
-            mask >>= 1  # as in ``row_transitions``
+            mask >>= 1  # the row's cols - 1 neighbour pairs, as ``inner`` in ``_score``
             now, was = ((new ^ new >> 1) & mask).bit_count(), ((old ^ old >> 1) & mask).bit_count()
             self._entropy += (now - was) * (now + was)  # now**2 - was**2
 
@@ -439,14 +435,6 @@ class Auditorium(_Board):
             return None
         n = self._board.bit_count()  # round(sum / n), ties going up, exact in integers
         return SeatCoord((2 * self._row_sum + n) // (2 * n), (2 * self._seat_sum + n) // (2 * n))
-
-
-def row_transitions(aud: Auditorium, row: int) -> int:
-    """Number of empty/occupied flips between adjacent seats in one row."""
-    if not 1 <= row <= aud.rows:
-        raise RowOutOfRange(f"row {row} outside 1..{aud.rows}")
-    mask = aud._row(row)
-    return ((mask ^ mask >> 1) & ((1 << aud.cols - 1) - 1)).bit_count()
 
 
 def entropy(aud: Auditorium) -> int:

@@ -19,13 +19,11 @@ so it cannot introduce comments). A number is ASCII digits with an
 optional sign.
 
 A token line (``rows``, ``cols``, ``groups``, the arrival sizes, an
-observed step, ``chosen``) is read in bulk when it is plain: ASCII and
-printable, so spaces are its only whitespace, with ASCII digits wherever
-a number goes. ``split``, ``partition`` and ``isdigit`` decide such a line
-and ``int`` reads it, with no column worked out. Any other line (a sign, a
-tab, a non-ASCII digit, any fault, or more digits than ``int`` reads, which
-its ``ValueError`` shows) is read again token by token, which accepts what
-the format allows and raises the first fault at its column.
+observed step, ``chosen``) has one reader: ``split`` finds its tokens and
+``int`` reads its numbers, or ``parse_int`` where they are not all digits,
+with no column worked out. It raises a wrong keyword, token count or step
+itself; a bad number or pair goes to ``_fault``, the one place that works
+out a token line's columns.
 
 Scenario format::
 
@@ -58,7 +56,7 @@ its integer entropy as mean with std 0 and min = max = mean.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from itertools import compress
 
 from .analysis import ChoiceRecord, _Record
@@ -189,22 +187,31 @@ class _Lines:
         return item
 
 
-def _tokens(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
-    """(1-based column, token) of each token from ``start`` on.
-
-    Raises :class:`ParseError` at the first whitespace character in
-    ``text`` that is not a space or tab, even before ``start``.
-    """
+def _split(line: int, text: str, start: int = 0) -> list[str]:
+    """The tokens of ``text`` from ``start`` on; the first whitespace character
+    in ``text`` that is not a space or tab, even before ``start``, raises
+    :class:`ParseError` at its column."""
     # A line of printable characters has no whitespace but spaces (a tab is not printable).
     if not text.isprintable() and (bad := re.search(r"[^\S \t]", text)):
         message = f"unexpected whitespace {bad.group()!r}; tokens are separated by spaces and tabs"
         raise ParseError(line, bad.start() + 1, message)
-    tokens = []
-    for token in text[start:].split():
+    return text[start:].split()
+
+
+def _fault(line: int, text: str, start: int, what: str) -> None:
+    """Raise the first fault among the tokens of line ``line`` from ``start``
+    on, each a number named ``what`` or, for ``row,seat``, a pair of them."""
+    for token in _split(line, text, start):
         start = text.index(token, start)
-        tokens.append((start + 1, token))
-        start += len(token)
-    return tokens
+        column, start = start + 1, start + len(token)
+        if what == "row,seat":
+            row, _, seat = token.partition(",")
+            if not row or not seat:  # a token without a comma leaves ``seat`` empty
+                raise ParseError(line, column, f"expected '{what}', got {_quoted(token)}")
+            parse_int(row, line, column, "row")
+            parse_int(seat, line, column + len(row) + 1, "seat")
+        else:
+            parse_int(token, line, column, what)
 
 
 def _quoted(text: str) -> str:
@@ -215,129 +222,92 @@ def _quoted(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def parse_int(token: str, line: int, column: int, what: str) -> int:
+def parse_int(token: str, line: int = 0, column: int = 0, what: str = "number") -> int:
     """The number ``token`` spells, by the one rule for numbers in the file
     formats and in the command line's flags: ASCII digits with an optional
-    sign (``int`` alone also reads ``1_0``, spaces around and non-ASCII
-    digits). Anything else raises :class:`ParseError` at ``line``, ``column``
-    naming ``what``."""
-    if token.isascii() and (token.isdigit() or token[:1] in ("+", "-") and token[1:].isdigit()):
+    sign, no more than ``int`` reads (``int`` alone also reads ``1_0``,
+    spaces around and non-ASCII digits). Anything else raises
+    :class:`ParseError` at ``line``, ``column`` naming ``what``; a token
+    line's reader leaves them out and has :func:`_fault` find them."""
+    if token.isdigit() and token.isascii() or not token.lstrip("+-0123456789"):
         try:
             return int(token)
-        except ValueError:  # more digits than ``int`` reads
+        except ValueError:  # a sign out of place, no digit, or more digits than ``int`` reads
             pass
     raise ParseError(line, column, f"{what} must be an integer, got {_quoted(token)}")
 
 
+def _reader(digits: str) -> Callable[[str], int]:
+    """The reader of numbers whose characters together are ``digits``: ``int``
+    where they are all ASCII digits, which it reads as the rule does, else
+    :func:`parse_int`, which checks the sign rule."""
+    return int if digits.isdigit() and digits.isascii() else parse_int
+
+
 def _int_field(line: int, text: str, keyword: str) -> int:
     """The value of the ``<keyword> <n>`` line ``line``."""
-    if text.isascii() and text.isprintable():
-        tokens = text.split()
-        if len(tokens) == 2 and tokens[0] == keyword and tokens[1].isdigit():
-            try:
-                return int(tokens[1])
-            except ValueError:  # more digits than ``int`` reads
-                pass
-    return _int_field_by_column(line, text, keyword)
-
-
-def _int_field_by_column(line: int, text: str, keyword: str) -> int:
-    """:func:`_int_field` token by token, a fault raised at its column."""
-    tokens = _tokens(line, text)
-    if not tokens or tokens[0][1] != keyword:
+    tokens = text.split() if text.isprintable() else _split(line, text)
+    if not tokens or tokens[0] != keyword:
         raise ParseError(line, 1, f"expected '{keyword} <n>', got {_quoted(text)}")
     if len(tokens) != 2:
         raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
-    column, value = tokens[1]
-    return parse_int(value, line, column, keyword)
+    try:
+        return parse_int(tokens[1])
+    except ValueError:
+        pass
+    _fault(line, text, text.index(keyword) + len(keyword), keyword)
 
 
 def _keyword(line: int, text: str, keyword: str) -> None:
     """Check that the line ``line`` holds only ``keyword``."""
     if text.strip(" \t") != keyword:
-        _tokens(line, text)  # a stray whitespace character is the error
+        _split(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"expected '{keyword}', got {_quoted(text)}")
-
-
-def _parse_coord(token: str, line: int, column: int) -> tuple[int, int]:
-    """The plain ``(row, seat)`` pair of a ``row,seat`` token; not yet a ``SeatCoord``."""
-    row_part, comma, seat_part = token.partition(",")
-    if not comma or not row_part or not seat_part:
-        raise ParseError(line, column, f"expected 'row,seat', got {_quoted(token)}")
-    return (
-        parse_int(row_part, line, column, "row"),
-        parse_int(seat_part, line, column + len(row_part) + 1, "seat"),
-    )
 
 
 def _sizes(line: int, text: str) -> list[int]:
     """The group sizes of the arrival sizes line ``line``."""
-    if text.isascii() and text.isprintable():
-        sizes = text.split()
-        if "".join(sizes).isdigit():
-            try:
-                return list(map(int, sizes))
-            except ValueError:  # more digits than ``int`` reads
-                pass
-    return _sizes_by_column(line, text)
-
-
-def _sizes_by_column(line: int, text: str) -> list[int]:
-    """:func:`_sizes` token by token, a fault raised at its column."""
-    return [parse_int(t, line, c, "group size") for c, t in _tokens(line, text)]
+    sizes = text.split() if text.isprintable() else _split(line, text)
+    try:
+        return list(map(_reader("".join(sizes)), sizes))
+    except ValueError:
+        pass
+    _fault(line, text, 0, "group size")
 
 
 def _seats(line: int, text: str, step: int) -> list[tuple[int, int]]:
     """The seats of observed step ``step``, read from line ``line``."""
-    head, _, seats = text.partition(":")
-    tokens = seats.split()
-    numbers = ",".join(tokens).split(",")
-    # As many commas as tokens and no token all digits: one comma in each
-    # token; a number left empty fails ``int``.
-    if (text.isascii() and text.isprintable() and (head + "".join(numbers)).isdigit()
-            and len(numbers) == 2 * len(tokens) and not any(map(str.isdigit, tokens))):
-        try:
-            if int(head) == step:
-                numbers = iter(map(int, numbers))
-                return list(zip(numbers, numbers))
-        except ValueError:  # an empty number, or more digits than ``int`` reads
-            pass
-    return _seats_by_column(line, text, step)
-
-
-def _seats_by_column(line: int, text: str, step: int) -> list[tuple[int, int]]:
-    """:func:`_seats` token by token, a fault raised at its column."""
-    head, colon, _ = text.partition(":")
-    tokens = _tokens(line, text, len(head) + 1)
+    head, colon, seats = text.partition(":")
+    tokens = seats.split() if text.isprintable() else _split(line, text, len(head) + 1)
     if not colon:
         raise ParseError(line, 1, "expected '<step>: row,seat ...'")
-    number = parse_int(head.strip(), line, 1, "step number")
-    if number != step:
+    if head != str(step) and (number := parse_int(head.strip(), line, 1, "step number")) != step:
         raise ValidationError(f"line {line}: observed step {number} out of order, expected {step}")
-    return [_parse_coord(t, line, c) for c, t in tokens]
+    numbers = ",".join(tokens).split(",") if tokens else []
+    # As many commas as tokens and none without one: one comma in each token.
+    # Without a sign, a token without a comma is all digits.
+    if len(numbers) == 2 * len(tokens) and (not any(map(str.isdigit, tokens))
+            if "+" not in seats and "-" not in seats else all("," in t for t in tokens)):
+        try:
+            values = map(_reader("".join(numbers)), numbers)
+            return list(zip(values, values))
+        except ValueError:
+            pass
+    _fault(line, text, len(head) + 1, "row,seat")
 
 
 def _chosen(line: int, text: str) -> tuple[int, int]:
     """The seat of the ``chosen row,seat`` line ``line``."""
-    if text.isascii() and text.isprintable():
-        tokens = text.split()
-        if len(tokens) == 2 and tokens[0] == "chosen":
-            row, _, seat = tokens[1].partition(",")
-            if row.isdigit() and seat.isdigit():
-                try:
-                    return int(row), int(seat)
-                except ValueError:  # more digits than ``int`` reads
-                    pass
-    return _chosen_by_column(line, text)
-
-
-def _chosen_by_column(line: int, text: str) -> tuple[int, int]:
-    """:func:`_chosen` token by token, a fault raised at its column."""
-    tokens = _tokens(line, text)
-    if len(tokens) != 2 or tokens[0][1] != "chosen":
+    tokens = text.split() if text.isprintable() else _split(line, text)
+    if len(tokens) != 2 or tokens[0] != "chosen":
         raise ParseError(line, 1, f"expected 'chosen row,seat', got {_quoted(text)}")
-    column, value = tokens[1]
-    return _parse_coord(value, line, column)
+    row, _, seat = tokens[1].partition(",")  # a token without a comma leaves ``seat`` empty
+    read = _reader(row + seat)
+    try:
+        return read(row), read(seat)
+    except ValueError:
+        pass
+    _fault(line, text, text.index("chosen") + len("chosen"), "row,seat")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -374,7 +344,7 @@ def parse_scenario(text: str) -> Scenario:
         steps = enumerate(cur.items[cur.pos + 1 :], start=1)  # every line left is a step
         observed = tuple([_seats(line, text, step) for step, (line, text) in steps])
     elif item is not None:
-        _tokens(*item)  # a stray whitespace character is the error
+        _split(*item)  # a stray whitespace character is the error
         raise ParseError(item[0], 1, f"unexpected line {_quoted(item[1])}")
 
     scenario = Scenario(
@@ -487,7 +457,7 @@ def _parse_choice_block(texts: list[str], numbers: Sequence[int]) -> ChoiceRecor
         if not text.lstrip(" \t").startswith("chosen"):
             raise ParseError(line, exc.column, exc.message) from None
         line, text = numbers[exc.row + 2], texts[exc.row + 2]  # the line after 'chosen'
-        _tokens(line, text)  # a stray whitespace character is the error
+        _split(line, text)  # a stray whitespace character is the error
         raise ParseError(line, 1, f"unexpected line {_quoted(text)}") from None
 
     chosen = _chosen(numbers[-1], texts[-1])

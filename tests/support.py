@@ -13,7 +13,8 @@ import random
 import re
 from fractions import Fraction
 
-from seatsim import Auditorium, Placement, Scenario, SeatCoord
+from seatsim import Auditorium, ParseError, Placement, Scenario, SeatCoord, ValidationError
+from seatsim.scenario_io import _quoted
 
 
 def occupied_cells(aud: Auditorium) -> list[SeatCoord]:
@@ -81,6 +82,11 @@ def entropy_bf(aud: Auditorium) -> int:
     return total
 
 
+def row_flips_bf(aud: Auditorium, row: int) -> int:
+    """The empty/occupied flips between adjacent seats of ``row``."""
+    return sum(aud.is_occupied(row, s) != aud.is_occupied(row, s - 1) for s in range(2, aud.cols + 1))
+
+
 
 def lanes_of(stack, x: int) -> list[int]:
     """The lanes of an int packed like ``stack._board``, in order."""
@@ -136,6 +142,75 @@ def read_grid_ref(texts: list[str], cols: int) -> int | tuple[int, int, str] | N
         if bad := re.search("[^.#]", text):
             return row, bad.start() + 1, f"bad grid character {bad.group()!r}, expected '.' or '#'"
     return None
+
+
+# The token-line readers of ``scenario_io`` read token by token: each
+# token's column is worked out before the token is read, so a fault is
+# raised where it is met. They are the referee for the readers, which read
+# a line whole and work out no column until they meet a fault.
+
+def _tokens_ref(line: int, text: str, start: int = 0) -> list[tuple[int, str]]:
+    if not text.isprintable() and (bad := re.search(r"[^\S \t]", text)):
+        message = f"unexpected whitespace {bad.group()!r}; tokens are separated by spaces and tabs"
+        raise ParseError(line, bad.start() + 1, message)
+    tokens = []
+    for token in text[start:].split():
+        start = text.index(token, start)
+        tokens.append((start + 1, token))
+        start += len(token)
+    return tokens
+
+
+def _parse_int_ref(token: str, line: int, column: int, what: str) -> int:
+    if token.isascii() and (token.isdigit() or token[:1] in ("+", "-") and token[1:].isdigit()):
+        try:
+            return int(token)
+        except ValueError:  # more digits than ``int`` reads
+            pass
+    raise ParseError(line, column, f"{what} must be an integer, got {_quoted(token)}")
+
+
+def _parse_coord_ref(token: str, line: int, column: int) -> tuple[int, int]:
+    row_part, comma, seat_part = token.partition(",")
+    if not comma or not row_part or not seat_part:
+        raise ParseError(line, column, f"expected 'row,seat', got {_quoted(token)}")
+    return (
+        _parse_int_ref(row_part, line, column, "row"),
+        _parse_int_ref(seat_part, line, column + len(row_part) + 1, "seat"),
+    )
+
+
+def int_field_by_column(line: int, text: str, keyword: str) -> int:
+    tokens = _tokens_ref(line, text)
+    if not tokens or tokens[0][1] != keyword:
+        raise ParseError(line, 1, f"expected '{keyword} <n>', got {_quoted(text)}")
+    if len(tokens) != 2:
+        raise ParseError(line, len(keyword) + 2, f"expected one value after '{keyword}'")
+    column, value = tokens[1]
+    return _parse_int_ref(value, line, column, keyword)
+
+
+def sizes_by_column(line: int, text: str) -> list[int]:
+    return [_parse_int_ref(t, line, c, "group size") for c, t in _tokens_ref(line, text)]
+
+
+def seats_by_column(line: int, text: str, step: int) -> list[tuple[int, int]]:
+    head, colon, _ = text.partition(":")
+    tokens = _tokens_ref(line, text, len(head) + 1)
+    if not colon:
+        raise ParseError(line, 1, "expected '<step>: row,seat ...'")
+    number = _parse_int_ref(head.strip(), line, 1, "step number")
+    if number != step:
+        raise ValidationError(f"line {line}: observed step {number} out of order, expected {step}")
+    return [_parse_coord_ref(t, line, c) for c, t in tokens]
+
+
+def chosen_by_column(line: int, text: str) -> tuple[int, int]:
+    tokens = _tokens_ref(line, text)
+    if len(tokens) != 2 or tokens[0][1] != "chosen":
+        raise ParseError(line, 1, f"expected 'chosen row,seat', got {_quoted(text)}")
+    column, value = tokens[1]
+    return _parse_coord_ref(value, line, column)
 
 
 def placement_point_distance_bf(placement: Placement, coord: SeatCoord) -> int:

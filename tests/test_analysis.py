@@ -88,6 +88,13 @@ class TestChoiceRecord:
             ChoiceRecord(configuration=aud, chosen=chosen, group_count=group_count)
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize("configuration", [5, None, [".#."]], ids=["int", "none", "rows"])
+    def test_rejects_a_configuration_that_is_not_a_hall(self, configuration):
+        # Unchecked, each gives an ``AttributeError``.
+        with pytest.raises(ValueError) as exc_info:
+            ChoiceRecord(configuration=configuration, chosen=(1, 2), group_count=1)
+        assert str(exc_info.value) == f"configuration must be an Auditorium, got {configuration!r}"
+
 
 class TestNearestDistanceHistogram:
     def test_adjacent_choice_bins_at_one(self):

@@ -156,14 +156,12 @@ def _error_classes():
             and value.__module__ == module.__name__}
 
 
-def test_every_bad_input_error_is_a_value_error():
-    # The command line exits 1 on any ValueError; a row index outside the
-    # hall is a caller's fault, not bad input.
+def test_every_error_class_is_a_value_error():
+    # The command line exits 1 on any ValueError, so every error seatsim
+    # defines is one.
     errors = _error_classes()
-    assert "ParseError" in errors and "RowOutOfRange" in errors
-    assert {name for name, cls in errors.items() if not issubclass(cls, ValueError)} == {
-        "RowOutOfRange"
-    }
+    assert "ParseError" in errors and "SeatConflict" in errors
+    assert {name for name, cls in errors.items() if not issubclass(cls, ValueError)} == set()
 
 
 class TestOwnership:

@@ -23,7 +23,14 @@ from seatsim import (
     validate_scenario,
 )
 from seatsim import scenario_io
-from support import MALFORMED_SCENARIOS, VALID_MINIMAL
+from support import (
+    MALFORMED_SCENARIOS,
+    VALID_MINIMAL,
+    chosen_by_column,
+    int_field_by_column,
+    seats_by_column,
+    sizes_by_column,
+)
 
 ERROR_TYPES = {"ParseError": ParseError, "ValidationError": ValidationError}
 
@@ -605,12 +612,12 @@ _OTHER_LINES = {
         lambda t: ("".join(t), ())
     ),
 }
-# Each token line's reader and the column-aware reader it falls back to.
+# Each token line's reader and the column-aware referee it must agree with.
 _READERS = {
-    "int-field": (scenario_io._int_field, "_int_field_by_column"),
-    "sizes": (scenario_io._sizes, "_sizes_by_column"),
-    "seats": (scenario_io._seats, "_seats_by_column"),
-    "chosen": (scenario_io._chosen, "_chosen_by_column"),
+    "int-field": (scenario_io._int_field, int_field_by_column),
+    "sizes": (scenario_io._sizes, sizes_by_column),
+    "seats": (scenario_io._seats, seats_by_column),
+    "chosen": (scenario_io._chosen, chosen_by_column),
 }
 
 
@@ -622,28 +629,57 @@ def _outcome(read, *args):
 
 
 class TestBulkReaders:
-    """A token line that is plain (ASCII, printable, digits where numbers
-    go) is read in bulk; any other goes to the column-aware code, which
-    raises the error at its column. Both give the same."""
+    """Each token line has one reader, which reads the whole line at once;
+    only for a line with a fault does it call the locator ``_fault``, which
+    works out the columns and raises the error at its column. The reader
+    gives what the column-aware referee gives."""
 
     @pytest.mark.parametrize("kind", list(_READERS))
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_a_line_read_in_bulk_reads_as_by_column(self, kind, data):
-        reader, fallback = _READERS[kind]
+        reader, referee = _READERS[kind]
         text, arguments = data.draw(st.one_of(_PLAIN_LINES[kind], _OTHER_LINES[kind]))
         args = (3, text.rstrip(" \t\r"), *arguments)  # as the line reader leaves it
-        by_column, declined = getattr(scenario_io, fallback), []
+        fault, located = scenario_io._fault, []
 
         def spy(*args):
-            declined.append(args)
-            return by_column(*args)
+            located.append(args)
+            fault(*args)
+            raise AssertionError(f"the locator found no fault in {args!r}")
 
-        with mock.patch.object(scenario_io, fallback, spy):
+        with mock.patch.object(scenario_io, "_fault", spy):
             outcome = _outcome(reader, *args)
-        event("declined" if declined else "read in bulk")
-        assert declined in ([], [args])
-        assert outcome == _outcome(by_column, *args)
+        expected = _outcome(referee, *args)
+        event("located" if located else "read in bulk")
+        assert outcome == expected
+        read = not (type(expected) is tuple and isinstance(expected[0], type))
+        assert located == [] if read else len(located) <= 1
+
+    @pytest.mark.parametrize(
+        "kind,text,args",
+        [
+            ("seats", "1: 1,2,3 4", (1,)),
+            ("seats", "1: 1,2,+3 +4", (1,)),
+            ("seats", "1: -1 2,3,4", (1,)),
+            ("seats", "1: 1,2 ,3", (1,)),
+            ("seats", "1: 1,,2", (1,)),
+            ("seats", "1: 1,2,", (1,)),
+            ("seats", "+-1: 1,2", (1,)),
+            ("chosen", "chosen 1,2,+3", ()),
+            ("chosen", "chosen +1", ()),
+            ("int-field", "rows +-1", ("rows",)),
+            ("int-field", "rows 1-", ("rows",)),
+            ("sizes", "1 - 2", ()),
+        ],
+    )
+    def test_tokens_with_two_commas_or_none_read_as_by_column(self, kind, text, args):
+        # Commas and signs out of place; the first three lines have as many
+        # commas as tokens, but not one in each. A signed token without a comma
+        # is not all digits, so only a comma check that does not count on the
+        # digits sees the second and third.
+        reader, referee = _READERS[kind]
+        assert _outcome(reader, 3, text, *args) == _outcome(referee, 3, text, *args)
 
     @pytest.mark.parametrize(
         "kind,text,args,value",
@@ -651,14 +687,16 @@ class TestBulkReaders:
             ("int-field", "rows 007", ("rows",), 7),
             ("int-field", "  rows   12", ("rows",), 12),
             ("sizes", "2 01  3", (), [2, 1, 3]),
+            ("sizes", "", (), []),
             ("seats", "2: 1,2 03,4", (2,), [(1, 2), (3, 4)]),
             ("seats", "02:1,2", (2,), [(1, 2)]),
+            ("seats", "2:", (2,), []),
             ("chosen", "  chosen 1,02", (), (1, 2)),
         ],
     )
     def test_plain_lines_are_read_in_bulk(self, kind, text, args, value):
-        reader, fallback = _READERS[kind]
-        with mock.patch.object(scenario_io, fallback, mock.Mock(side_effect=AssertionError)):
+        reader, _ = _READERS[kind]
+        with mock.patch.object(scenario_io, "_fault", mock.Mock(side_effect=AssertionError)):
             assert reader(1, text, *args) == value
 
     @pytest.mark.parametrize(
@@ -673,12 +711,10 @@ class TestBulkReaders:
             ("chosen", "chosen -1,2", (), (-1, 2)),
         ],
     )
-    def test_a_sign_or_a_tab_is_read_by_column(self, kind, text, args, value):
-        reader, fallback = _READERS[kind]
-        by_column = mock.Mock(wraps=getattr(scenario_io, fallback))
-        with mock.patch.object(scenario_io, fallback, by_column):
+    def test_a_sign_or_a_tab_is_read_in_bulk(self, kind, text, args, value):
+        reader, _ = _READERS[kind]
+        with mock.patch.object(scenario_io, "_fault", mock.Mock(side_effect=AssertionError)):
             assert reader(1, text, *args) == value
-        by_column.assert_called_once_with(1, text, *args)
 
 
 class TestGridFaultPrecedence:
