@@ -84,14 +84,25 @@ class Histogram(_Record):
         return sum(self.counts.values())
 
 
+def _check_records(records: list[ChoiceRecord]) -> None:
+    """Raise ``ValueError`` for the first of ``records`` that is not a ``ChoiceRecord``."""
+    for rec in records:
+        if not isinstance(rec, ChoiceRecord):
+            raise ValueError(f"expected a ChoiceRecord, got {rec!r}") from None
+
+
 def nearest_distance_histogram(records: list[ChoiceRecord]) -> Histogram:
     """Bin each record's distance from the chosen seat to the nearest occupant."""
     if not records:
         raise EmptyInput("no choice records")
-    return Histogram(dict(Counter(
-        rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
-        for rec in records
-    )))
+    try:
+        return Histogram(dict(Counter(
+            rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
+            for rec in records
+        )))
+    except AttributeError:
+        _check_records(records)
+        raise
 
 
 def center_distance_histogram(
@@ -105,11 +116,13 @@ def center_distance_histogram(
     """
     if not records:
         raise EmptyInput("no choice records")
-    kept = [rec for rec in records if rec.group_count >= min_groups]
+    try:
+        kept = [rec for rec in records if rec.group_count >= min_groups]
+    except AttributeError:
+        _check_records(records)
+        raise
     if not kept:
-        raise AllRecordsFiltered(
-            f"no record has at least {min_groups} seated groups"
-        )
+        raise AllRecordsFiltered(f"no record has at least {min_groups} seated groups")
     return Histogram(dict(Counter(  # a record's hall has an occupant, hence a center
         manhattan_distance(rec.chosen, rec.configuration.center_of_mass()) for rec in kept
     )))

@@ -264,6 +264,8 @@ class Auditorium(_Board):
     """
 
     def __init__(self, rows: int, cols: int, occupied: Iterable[tuple[int, int]] = ()):
+        if type(rows) is not int or type(cols) is not int:  # ``True`` would be written as text
+            raise ValueError(f"auditorium size must be integers, got {rows!r}x{cols!r}")
         if rows < 1 or cols < 1:
             raise ValueError(f"auditorium must be at least 1x1, got {rows}x{cols}")
         super().__init__(rows, cols, rows * (cols + 1), 1)
@@ -304,7 +306,7 @@ class Auditorium(_Board):
 
     def to_rows(self) -> list[str]:
         """Inverse of :meth:`from_rows`."""
-        masks = (self._row(r) for r in range(1, self.rows + 1))
+        masks = (self._board >> r * self._width & self._row_mask for r in range(self.rows))
         return [format(m, f"0{self.cols}b")[::-1].translate(_GRID_CHARS) for m in masks]
 
     def __eq__(self, other: object) -> bool:
@@ -317,11 +319,10 @@ class Auditorium(_Board):
         return f"Auditorium({self.rows}x{self.cols}, {occupied})"
 
     def _check_bounds(self, row: int, seat: int) -> None:
+        if type(row) is not int or type(seat) is not int:  # ``True`` would be written as text
+            raise ValueError(f"seat {(row, seat)} is not a pair of integers")
         if not (1 <= row <= self.rows and 1 <= seat <= self.cols):
             raise ValueError(f"seat ({row},{seat}) outside {self.rows}x{self.cols} auditorium")
-
-    def _row(self, row: int) -> int:
-        return self._board >> (row - 1) * self._width & self._row_mask
 
     def is_occupied(self, row: int, seat: int) -> bool:
         self._check_bounds(row, seat)
@@ -441,9 +442,12 @@ def entropy(aud: Auditorium) -> int:
     """Sum over rows of the squared transition count: computed from the
     board when first read after ``_set_board`` wrote a whole board, then
     kept, and moved by ``_take`` one run at a time until the next such write."""
-    if aud._entropy is None:
-        aud._entropy = aud._score()
-    return aud._entropy
+    try:
+        if aud._entropy is None:
+            aud._entropy = aud._score()
+        return aud._entropy
+    except AttributeError:  # not a hall
+        raise ValueError(f"entropy needs an Auditorium, got {aud!r}") from None
 
 
 def _byte_ones() -> tuple[tuple[int, ...], ...]:

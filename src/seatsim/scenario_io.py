@@ -56,7 +56,7 @@ its integer entropy as mean with std 0 and min = max = mean.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import compress
 
 from .analysis import ChoiceRecord, _Record
@@ -91,12 +91,8 @@ class Scenario(_Record):
     _fields = ("rows", "cols", "initial_occupancy", "arrivals", "observed")
 
     def __init__(
-        self,
-        rows: int,
-        cols: int,
-        initial_occupancy: tuple[SeatCoord, ...],
-        arrivals: tuple[int, ...],
-        observed: tuple[tuple[SeatCoord, ...], ...] | None = None,
+        self, rows: int, cols: int, initial_occupancy: Iterable[tuple[int, int]],
+        arrivals: Iterable[int], observed: Iterable[Iterable[tuple[int, int]]] | None = None,
     ) -> None:
         self.rows = rows
         self.cols = cols
@@ -165,26 +161,6 @@ def _lines(text: str) -> list[str | None]:
         else None
         for line in text.split("\n")
     ]
-
-
-class _Lines:
-    """Cursor over effective (non-blank, non-comment) lines, numbered."""
-
-    def __init__(self, text: str):
-        lines = _lines(text)
-        self.items = list(compress(enumerate(lines, start=1), lines))
-        self.pos = 0
-
-    def peek(self) -> tuple[int, str] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self, expected: str) -> tuple[int, str]:
-        item = self.peek()
-        if item is None:
-            last_line = self.items[-1][0] if self.items else 1
-            raise ParseError(last_line, 1, f"unexpected end of file, expected {expected}")
-        self.pos += 1
-        return item
 
 
 def _split(line: int, text: str, start: int = 0) -> list[str]:
@@ -313,47 +289,52 @@ def _chosen(line: int, text: str) -> tuple[int, int]:
 def parse_scenario(text: str) -> Scenario:
     """Parse the scenario format; see the module docstring for the grammar.
 
+    The layout is fixed, so each part is read by its position among the
+    effective (non-blank, non-comment) lines: ``rows``, ``cols``, ``grid``,
+    ``rows`` grid rows, ``arrivals``, then an optional sizes line and an
+    optional ``observed`` block in which every line is a step.
+
     Raises :class:`ParseError` for malformed text and
     :class:`ValidationError` for out-of-order observed steps and for what
     :func:`validate_scenario` rejects in the parsed scenario.
     """
-    cur = _Lines(text)
-    rows = _int_field(*cur.take("'rows <n>'"), "rows")
-    cols = _int_field(*cur.take("'cols <n>'"), "cols")
+    lines = _lines(text)
+    items = list(compress(enumerate(lines, start=1), lines))
+
+    def take(at: int, expected: str) -> tuple[int, str]:
+        # Effective line ``at``; past the last, the file ends there (at line 1 if none).
+        if at < len(items):
+            return items[at]
+        last = items[-1][0] if items else 1
+        raise ParseError(last, 1, f"unexpected end of file, expected {expected}")
+
+    rows = _int_field(*take(0, "'rows <n>'"), "rows")
+    cols = _int_field(*take(1, "'cols <n>'"), "cols")
     if rows < 1 or cols < 1:  # checked before the grid is read
         raise ValidationError(f"auditorium must be at least 1x1, got {rows}x{cols}")
-    _keyword(*cur.take("'grid'"), "grid")
-    grid = cur.items[cur.pos : cur.pos + rows]
-    cur.pos += len(grid)
+    _keyword(*take(2, "'grid'"), "grid")
+    grid = items[3 : 3 + rows]
     try:
         board = read_grid([text for _, text in grid], cols) if grid else 0
     except GridError as exc:
         raise ParseError(grid[exc.row - 1][0], exc.column, exc.message) from None
     if len(grid) < rows:  # after the rows read, so that their faults win
-        cur.take(f"grid row {len(grid) + 1}")
+        take(3 + len(grid), f"grid row {len(grid) + 1}")
+    _keyword(*take(3 + rows, "'arrivals'"), "arrivals")
 
-    _keyword(*cur.take("'arrivals'"), "arrivals")
-    arrivals: list[int] = []
-    item = cur.peek()
-    if item is not None and item[1].strip(" \t") != "observed":
-        arrivals = _sizes(*cur.take("arrival sizes"))
+    at, arrivals, observed = 4 + rows, [], None
+    if at < len(items) and items[at][1].strip(" \t") != "observed":
+        arrivals = _sizes(*items[at])
+        at += 1
+    if at < len(items):
+        line, after = items[at]
+        if after.strip(" \t") != "observed":
+            _split(line, after)  # a stray whitespace character is the error
+            raise ParseError(line, 1, f"unexpected line {_quoted(after)}")
+        steps = enumerate(items[at + 1 :], start=1)  # every line left is a step
+        observed = [_seats(line, text, step) for step, (line, text) in steps]
 
-    observed = None
-    item = cur.peek()
-    if item is not None and item[1].strip(" \t") == "observed":
-        steps = enumerate(cur.items[cur.pos + 1 :], start=1)  # every line left is a step
-        observed = tuple([_seats(line, text, step) for step, (line, text) in steps])
-    elif item is not None:
-        _split(*item)  # a stray whitespace character is the error
-        raise ParseError(item[0], 1, f"unexpected line {_quoted(item[1])}")
-
-    scenario = Scenario(
-        rows=rows,
-        cols=cols,
-        initial_occupancy=tuple(board_cells(board, cols)),
-        arrivals=tuple(arrivals),
-        observed=observed,
-    )
+    scenario = Scenario(rows, cols, board_cells(board, cols), arrivals, observed)
     validate_scenario(scenario)
     return scenario
 

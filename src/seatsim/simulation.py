@@ -185,7 +185,7 @@ def run_many(
     statistics, and a failure reports the lowest failing run, so the result
     is the same for every worker count.
     """
-    for name, value in (("runs", runs), ("workers", workers)):
+    for name, value in (("runs", runs), ("master_seed", master_seed), ("workers", workers)):
         if type(value) is not int:  # ``True`` would pass as 1
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if runs < 1:

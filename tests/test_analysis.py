@@ -115,6 +115,14 @@ class TestNearestDistanceHistogram:
         with pytest.raises(EmptyInput):
             nearest_distance_histogram([])
 
+    @pytest.mark.parametrize("item", [5, None, "#."], ids=["int", "none", "str"])
+    def test_rejects_what_is_not_a_record(self, item):
+        # Unchecked, each gives an ``AttributeError``; the error names the item, not the list.
+        record = ChoiceRecord(Auditorium.from_rows(["#.."]), SeatCoord(1, 3), 1)
+        with pytest.raises(ValueError) as exc_info:
+            nearest_distance_histogram([record, item])
+        assert str(exc_info.value) == f"expected a ChoiceRecord, got {item!r}"
+
     def test_matches_brute_force_scan(self):
         rng = random.Random(33)
         records = [random_record(rng) for _ in range(60)]
@@ -182,3 +190,11 @@ class TestCenterDistanceHistogram:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             center_distance_histogram([])
+
+    @pytest.mark.parametrize("item", [5, None, "#."], ids=["int", "none", "str"])
+    def test_rejects_what_is_not_a_record(self, item):
+        # Unchecked, each gives an ``AttributeError``; the error names the item, not the list.
+        record = ChoiceRecord(Auditorium.from_rows(["#.#"]), SeatCoord(1, 2), 2)
+        with pytest.raises(ValueError) as exc_info:
+            center_distance_histogram([record, item])
+        assert str(exc_info.value) == f"expected a ChoiceRecord, got {item!r}"

@@ -98,6 +98,14 @@ def test_upper_bound_attained_only_by_alternating_grid():
                 assert all(row[i] != row[i + 1] for i in range(len(row) - 1))
 
 
+@pytest.mark.parametrize("hall", [5, None, ["#."]], ids=["int", "none", "rows"])
+def test_rejects_what_is_not_a_hall(hall):
+    # Unchecked, each gives an ``AttributeError``.
+    with pytest.raises(ValueError) as exc_info:
+        entropy(hall)
+    assert str(exc_info.value) == f"entropy needs an Auditorium, got {hall!r}"
+
+
 def test_single_seat_addition_changes_one_row_by_bounded_amount():
     rng = random.Random(41)
     for _ in range(300):

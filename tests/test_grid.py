@@ -798,6 +798,42 @@ class TestConstruction:
         with pytest.raises(ValueError, match="auditorium must be at least 1x1, got 0x3"):
             Auditorium(0, 3)
 
+    @pytest.mark.parametrize(
+        "rows,cols,message",
+        [
+            ("7", 3, "'7'x3"),
+            (2.0, 3, "2.0x3"),
+            (2, None, "2xNone"),
+            # ``bool`` is an ``int`` subclass, but ``True`` is written as text.
+            (True, 3, "Truex3"),
+        ],
+        ids=["str", "float", "none", "bool"],
+    )
+    def test_size_must_be_integers(self, rows, cols, message):
+        # Unchecked, all but ``True`` give a ``TypeError``; ``True`` builds a 1x3 hall.
+        with pytest.raises(ValueError) as exc_info:
+            Auditorium(rows, cols)
+        assert str(exc_info.value) == f"auditorium size must be integers, got {message}"
+
+    @pytest.mark.parametrize(
+        "call,seat",
+        [
+            (lambda aud: aud.occupy_seats([(1, "1")]), "(1, '1')"),
+            (lambda aud: Auditorium(2, 3, [(True, 1)]), "(True, 1)"),
+            (lambda aud: aud.occupy_seats([(1, 2), (1.0, 3)]), "(1.0, 3)"),
+            (lambda aud: aud.is_occupied(1, 2.0), "(1, 2.0)"),
+            (lambda aud: aud.min_distance_to_seated(Placement(1, "1", 1)), "(1, '1')"),
+        ],
+        ids=["str-seat", "bool-row", "float-row", "is-occupied", "min-distance"],
+    )
+    def test_seats_must_be_pairs_of_integers(self, call, seat):
+        # Unchecked, ``True`` is taken as row 1 and the others give a ``TypeError``.
+        aud = Auditorium(2, 3)
+        with pytest.raises(ValueError) as exc_info:
+            call(aud)
+        assert str(exc_info.value) == f"seat {seat} is not a pair of integers"
+        assert aud == Auditorium(2, 3)
+
     @given(auditoriums())
     def test_equality_tracks_occupancy(self, aud):
         clone = Auditorium(aud.rows, aud.cols, occupied_cells(aud))

@@ -192,6 +192,30 @@ class TestParseScenario:
         assert exc_info.value.line == 4
 
     @pytest.mark.parametrize(
+        "text,line,expected",
+        [
+            ("", 1, "'rows <n>'"),
+            ("; only a comment\n", 1, "'rows <n>'"),
+            ("rows 2\n", 1, "'cols <n>'"),
+            ("rows 2\ncols 3\n", 2, "'grid'"),
+            ("rows 2\ncols 3\n; a comment after the last line\n\n", 2, "'grid'"),
+            ("rows 2\ncols 3\ngrid\n", 3, "grid row 1"),
+            ("rows 2\ncols 3\ngrid\n...\n", 4, "grid row 2"),
+            ("rows 2\ncols 3\ngrid\n...\n...\n\n", 5, "'arrivals'"),
+        ],
+        ids=["empty", "comment-only", "rows", "cols", "trailing-comment", "grid", "grid-row-1",
+             "grid-rows"],
+    )
+    def test_end_of_file_at_every_point(self, text, line, expected):
+        # The file ends at its last effective line, or at line 1 when it has none.
+        with pytest.raises(ParseError) as exc_info:
+            parse_scenario(text)
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (
+            line, 1, f"unexpected end of file, expected {expected}"
+        )
+
+    @pytest.mark.parametrize(
         "text,line,column",
         [
             ("rows ows\n", 1, 6),  # the value's letters also occur in the keyword

@@ -167,6 +167,10 @@ class TestRunMany:
         with pytest.raises(ValueError, match="need at least one run, got 0"):
             run_many(small_scenario(), "random", 0, 0)
 
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="^need at least one worker, got 0$"):
+            run_many(small_scenario(), "random", 4, 0, workers=0)
+
     @pytest.mark.parametrize("runs, workers, message", [
         (True, 1, "runs must be an integer, got True"),
         (False, 1, "runs must be an integer, got False"),
@@ -177,6 +181,12 @@ class TestRunMany:
         # ``bool`` is an ``int`` subclass: ``True`` would run once as ``run_count=True``.
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_many(small_scenario(), "random", runs, 0, workers=workers)
+
+    @pytest.mark.parametrize("seed", [1.5, "0", True, None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # Unchecked, ``True`` seeds as 1 and the others give a ``TypeError``.
+        with pytest.raises(ValueError, match=f"^master_seed must be an integer, got {seed!r}$"):
+            run_many(small_scenario(), "random", 4, seed)
 
     @pytest.mark.parametrize("runs", [3, 8])
     def test_unknown_policy_raises_without_arrivals(self, runs):
