@@ -85,7 +85,12 @@ class Histogram(_Record):
 
 
 def _check_records(records: list[ChoiceRecord]) -> None:
-    """Raise ``ValueError`` for the first of ``records`` that is not a ``ChoiceRecord``."""
+    """Raise ``ValueError`` if ``records`` is not iterable, or for the first
+    of them that is not a ``ChoiceRecord``."""
+    try:
+        records = iter(records)
+    except TypeError:
+        raise ValueError(f"records must be a list of ChoiceRecords, got {records!r}") from None
     for rec in records:
         if not isinstance(rec, ChoiceRecord):
             raise ValueError(f"expected a ChoiceRecord, got {rec!r}") from None
@@ -100,7 +105,7 @@ def nearest_distance_histogram(records: list[ChoiceRecord]) -> Histogram:
             rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
             for rec in records
         )))
-    except AttributeError:
+    except (AttributeError, TypeError):
         _check_records(records)
         raise
 
@@ -114,11 +119,13 @@ def center_distance_histogram(
     dropped first; a center of mass says little when a single group is
     seated.
     """
+    if type(min_groups) is not int:  # ``True`` would pass as 1
+        raise ValueError(f"min_groups must be an integer, got {min_groups!r}")
     if not records:
         raise EmptyInput("no choice records")
     try:
         kept = [rec for rec in records if rec.group_count >= min_groups]
-    except AttributeError:
+    except (AttributeError, TypeError):
         _check_records(records)
         raise
     if not kept:

@@ -377,12 +377,17 @@ class Auditorium(_Board):
         by an occupant or an earlier seat of ``coords``, raises and changes nothing.
         The new board is then recounted whole by ``_set_board``."""
         board, width = self._board, self._width
-        for row, seat in coords:
-            self._check_bounds(row, seat)
-            bit = 1 << (row - 1) * width + seat - 1
-            if board & bit:
-                raise SeatConflict(f"seat ({row},{seat}) is already occupied")
-            board |= bit
+        coord = coords
+        try:  # one handler for the call, no check per seat
+            for coord in coords:
+                row, seat = coord
+                self._check_bounds(row, seat)
+                bit = 1 << (row - 1) * width + seat - 1
+                if board & bit:
+                    raise SeatConflict(f"seat ({row},{seat}) is already occupied")
+                board |= bit
+        except TypeError:  # ``coords``, or a seat in it, is not iterable
+            raise ValueError(f"seat {coord!r} is not a pair of integers") from None
         if board != self._board:
             self._set_board(board)
 

@@ -1,9 +1,18 @@
 """Runs of a :mod:`seatsim.scenario_io` scenario: per-run seeds, one run,
-many runs stepped as lanes and cut into forked shards, their average over
-the seeded runs, and the replay of the recorded seats."""
+many runs stepped as lanes and cut into shards, their average over the
+seeded runs, and the replay of the recorded seats.
+
+Each shard after the first runs in a worker process, one per extra shard.
+The first ``run_many`` call that needs shard i forks its worker, and later
+calls send it requests over a pipe; a worker found dead is forked again.
+A worker keeps the module state it had when it was forked, so code that
+patches this module or :mod:`seatsim.policies` closes the workers first.
+They are closed and reaped by ``_close_workers``, which also runs at exit.
+"""
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import random
@@ -113,55 +122,124 @@ def _pin(pid: int, cpus) -> None:
         pass
 
 
-def _fork_range(
-    scenario: Scenario, policy: str, master_seed: int, lo: int, hi: int, cpu: int
-) -> tuple[int, int]:
-    """Run ``_run_range`` in a child forked onto ``cpu``; returns the pid and
-    the read end of a pipe that gets the pickled ``(True, columns)`` or
-    ``(False, exception)``."""
+# The extra shards' workers of this process: shard -> (pid, request fd,
+# reply reader). ``_owner`` forked them; a process forked from it by other
+# code must neither use nor reap them.
+_workers: dict = {}
+_owner = 0
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj``, pickled, to the pipe ``fd``; a write may take part of it."""
     import pickle
 
-    read_fd, write_fd = os.pipe()
+    data = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _serve(request_fd: int, reply_fd: int) -> None:
+    """A worker's loop: answer each pickled ``_run_range`` request with
+    ``(True, columns)`` or ``(False, exception)`` until the requests end."""
+    import pickle
+
+    with open(request_fd, "rb") as requests:
+        while True:
+            try:
+                args = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                reply = (True, _run_range(*args))
+            except Exception as exc:
+                reply = (False, exc)
+            _send(reply_fd, reply)
+
+
+def _drop(shard: int) -> int | None:
+    """Close shard ``shard``'s pipes, so its worker reads the end of its
+    requests and exits, and reap it; returns its wait status, or None where
+    this process did not fork it or other code reaped it first."""
+    pid, request_fd, replies = _workers.pop(shard)
+    os.close(request_fd)
+    replies.close()
+    if _owner != os.getpid():
+        return None
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return None
+
+
+def _close_workers() -> None:
+    """Close and reap every worker. A process forked from their owner by
+    other code closes only its copies of their pipes."""
+    global _owner
+    for shard in list(_workers):
+        _drop(shard)
+    _owner = os.getpid()
+
+
+atexit.register(_close_workers)
+
+
+def _worker(shard: int, cpu: int) -> tuple[int, int, object]:
+    """Shard ``shard``'s worker pinned to ``cpu``; forked when it is missing
+    or has died. If a fork fails, every worker is closed."""
+    if _owner != os.getpid():
+        _close_workers()
+    if shard in _workers:
+        pid = _workers[shard][0]
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                _pin(pid, {cpu})
+                return _workers[shard]
+        except ChildProcessError:  # reaped by other code
+            pass
+        _drop(shard)
+    request_read, request_write = os.pipe()
+    reply_read, reply_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (request_read, request_write, reply_read, reply_write):
+            os.close(fd)
+        _close_workers()
         raise
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            try:
-                reply = (True, _run_range(scenario, policy, master_seed, lo, hi))
-            except Exception as exc:
-                reply = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            os.close(request_write)
+            os.close(reply_read)
+            for _, fd, replies in _workers.values():
+                os.close(fd)
+                os.close(replies.fileno())
+            _serve(request_read, reply_write)
             code = 0
         finally:
             os._exit(code)  # never unwind into the caller's stack
-    # Moved before it first runs, the child starts on ``cpu`` at once
+    # Moved before it first runs, the worker starts on ``cpu`` at once
     # instead of queueing behind this process.
     _pin(pid, {cpu})
-    os.close(write_fd)
-    return pid, read_fd
+    os.close(request_read)
+    os.close(reply_write)
+    _workers[shard] = pid, request_write, open(reply_read, "rb")
+    return _workers[shard]
 
 
-def _reap(shard: int, pid: int, read_fd: int) -> tuple[bool, object]:
-    """Read a child's reply to the end, then wait for the child. What the
-    child did is returned, never raised."""
+def _reply(shard: int) -> tuple[bool, object]:
+    """Shard ``shard``'s reply to the request it was sent. What the worker
+    did is returned, never raised; a worker that ended without a reply is
+    reaped."""
     import pickle
 
-    with open(read_fd, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
+    pid, _, replies = _workers[shard]
     try:
-        return pickle.loads(data)
+        return pickle.load(replies)
     except (EOFError, pickle.UnpicklingError):
         return False, RuntimeError(
             f"shard {shard}: worker process {pid} ended without a result "
-            f"(wait status {status})"
+            f"(wait status {_drop(shard)})"
         )
 
 
@@ -177,13 +255,16 @@ def run_many(
     Run i uses ``derive_seed(master_seed, i)``. The run indexes are cut
     into ``min(workers, runs, usable CPUs)`` contiguous shards (one where
     ``os.fork`` is missing or other threads run). This process runs the
-    first shard; a forked child runs each other one and returns its
-    columns of scores over a pipe, and every child is reaped before this
-    returns. A shard of more than three runs steps them together, one rule
-    start set per step for all of them (``_run_range``). Each step's column
-    is joined shard by shard in index order, each column gives that step's
-    statistics, and a failure reports the lowest failing run, so the result
-    is the same for every worker count.
+    first shard, and the worker of shard i runs shard i and returns its
+    columns of scores over a pipe. A worker is forked by the first call
+    that needs it and serves every later call of this process, with the
+    module state it had at its fork, until ``_close_workers`` reaps it, at
+    exit at the latest. A shard of more than three runs steps them
+    together, one rule start set per step for all of them
+    (``_run_range``). Each step's column is joined shard by shard in index
+    order, each column gives that step's statistics, and a failure reports
+    the lowest failing run, so the result is the same for every worker
+    count.
     """
     for name, value in (("runs", runs), ("master_seed", master_seed), ("workers", workers)):
         if type(value) is not int:  # ``True`` would pass as 1
@@ -196,19 +277,26 @@ def run_many(
     cpus = _cpus()
     n = min(workers, runs, len(cpus)) if _can_fork() else 1
     cuts = [runs * i // n for i in range(n + 1)]
-    # The scheduler need not move a forked child off its parent's CPU, so
-    # child i is pinned to cpus[-i] and this process keeps the others.
+    # The scheduler need not move a forked worker off its parent's CPU, so
+    # worker i is pinned to cpus[-i] and this process keeps the others.
     _pin(0, cpus[: len(cpus) - n + 1])
-    children = []
+    sent = []
     try:
-        for shard in range(1, n):
-            lo, hi = cuts[shard], cuts[shard + 1]
-            pid, read_fd = _fork_range(scenario, policy, master_seed, lo, hi, cpus[-shard])
-            children.append((shard, pid, read_fd))
+        pool = [_worker(shard, cpus[-shard]) for shard in range(1, n)]
+        for shard, (_, request_fd, _) in enumerate(pool, start=1):
+            try:
+                _send(request_fd, (scenario, policy, master_seed, cuts[shard], cuts[shard + 1]))
+            except BrokenPipeError:
+                pass  # the worker died; its reply says so
+            sent.append(shard)
         columns = _run_range(scenario, policy, master_seed, cuts[0], cuts[1])
     finally:
         _pin(0, cpus)
-        replies = [_reap(*child) for child in children]
+        try:
+            replies = [_reply(shard) for shard in sent]
+        except BaseException:  # an interrupted read would leave a reply behind
+            _close_workers()
+            raise
     for ok, value in replies:
         if not ok:
             raise value

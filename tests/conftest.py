@@ -21,3 +21,15 @@ def fig1_scenario(fig1_path):
     from seatsim import parse_scenario
 
     return parse_scenario(fig1_path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(autouse=True)
+def closed_workers():
+    """Each test starts and ends with no shard workers. A worker keeps the
+    module state it had when it was forked, so one forked before a test
+    patched a rule or ``_run_range`` would not see the patch."""
+    from seatsim import simulation
+
+    simulation._close_workers()
+    yield
+    simulation._close_workers()

@@ -123,6 +123,11 @@ class TestNearestDistanceHistogram:
             nearest_distance_histogram([record, item])
         assert str(exc_info.value) == f"expected a ChoiceRecord, got {item!r}"
 
+    def test_rejects_records_that_are_not_iterable(self):
+        # Unchecked, this gives a ``TypeError``.
+        with pytest.raises(ValueError, match="^records must be a list of ChoiceRecords, got 5$"):
+            nearest_distance_histogram(5)
+
     def test_matches_brute_force_scan(self):
         rng = random.Random(33)
         records = [random_record(rng) for _ in range(60)]
@@ -198,3 +203,15 @@ class TestCenterDistanceHistogram:
         with pytest.raises(ValueError) as exc_info:
             center_distance_histogram([record, item])
         assert str(exc_info.value) == f"expected a ChoiceRecord, got {item!r}"
+
+    def test_rejects_records_that_are_not_iterable(self):
+        with pytest.raises(ValueError, match="^records must be a list of ChoiceRecords, got 5$"):
+            center_distance_histogram(5)
+
+    @pytest.mark.parametrize("min_groups", ["2", 2.0, True, None])
+    def test_min_groups_must_be_an_int(self, min_groups):
+        # Unchecked, ``True`` passes as 1 and the others give a ``TypeError``.
+        record = ChoiceRecord(Auditorium.from_rows(["#.#"]), SeatCoord(1, 2), 2)
+        with pytest.raises(ValueError) as exc_info:
+            center_distance_histogram([record], min_groups=min_groups)
+        assert str(exc_info.value) == f"min_groups must be an integer, got {min_groups!r}"

@@ -149,6 +149,27 @@ class TestSimulateCommand:
             digests.add(hashlib.sha256(out.encode()).hexdigest())
         assert len(digests) == 1
 
+    def test_policy_all_forks_the_pool_once(self, capsys, fig1_path, monkeypatch):
+        # Five rules, one run_many call each: the first forks the one extra
+        # shard's worker, and every later call of the process reuses it.
+        monkeypatch.setattr(simulation, "_cpus", lambda: [0, 1])
+        forked = []
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        argv = ["simulate", "--scenario", str(fig1_path), "--policy", "all", "--runs", "40"]
+        code, serial, _ = run_cli(capsys, *argv)
+        assert (code, forked) == (0, [])
+        for _ in range(2):
+            assert run_cli(capsys, *argv, "--workers", "2") == (0, serial, "")
+            assert len(forked) == 1
+
     def test_stdout_matches_out_file(self, capsys, scenario_file, tmp_path):
         out_path = tmp_path / "t.csv"
         code, _, _ = run_cli(

@@ -823,8 +823,12 @@ class TestConstruction:
             (lambda aud: aud.occupy_seats([(1, 2), (1.0, 3)]), "(1.0, 3)"),
             (lambda aud: aud.is_occupied(1, 2.0), "(1, 2.0)"),
             (lambda aud: aud.min_distance_to_seated(Placement(1, "1", 1)), "(1, '1')"),
+            (lambda aud: Auditorium(2, 3, [5]), "5"),
+            (lambda aud: Auditorium(2, 3, 5), "5"),
+            (lambda aud: aud.occupy_seats([(1, 2), None]), "None"),
         ],
-        ids=["str-seat", "bool-row", "float-row", "is-occupied", "min-distance"],
+        ids=["str-seat", "bool-row", "float-row", "is-occupied", "min-distance",
+             "int-seat", "int-seats", "none-seat"],
     )
     def test_seats_must_be_pairs_of_integers(self, call, seat):
         # Unchecked, ``True`` is taken as row 1 and the others give a ``TypeError``.

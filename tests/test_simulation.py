@@ -5,6 +5,8 @@ import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -473,25 +475,28 @@ def two_shards(monkeypatch, forks):
     return forks
 
 
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, if a wait on a child never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run_many did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
 class TestShards:
-    @pytest.fixture(autouse=True)
-    def deadline(self):
-        """Fail, instead of hanging, if a wait on a child never returns."""
-
-        def expire(signum, frame):
-            raise TimeoutError("run_many did not return within 60 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(60)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_worker_count_does_not_change_the_aggregate(self, fig1_scenario, policy):
         serial = run_many(fig1_scenario, policy, 50, 3, workers=1)
         for workers in (2, 3):
             assert run_many(fig1_scenario, policy, 50, 3, workers=workers) == serial
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_forks_one_child_per_extra_shard(self, two_shards):
@@ -500,6 +505,7 @@ class TestShards:
         assert two_shards == []
         assert run_many(sc, "max", 9, 4, workers=2) == serial
         assert len(two_shards) == 1
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_shard_count_is_bounded_by_cpus_and_runs(self, forks):
@@ -508,12 +514,14 @@ class TestShards:
         assert run_many(sc, "simple", 3, 1, workers=64) == serial
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert len(forks) <= min(cpus - 1, 3 - 1)
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_unknown_policy_forks_nothing(self, two_shards):
         with pytest.raises(ValueError, match="unknown policy 'nope'"):
             run_many(small_scenario(), "nope", 9, 4, workers=2)
         assert two_shards == []
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_failed_fork_reaps_the_forked_children(self, monkeypatch, forks):
@@ -564,6 +572,7 @@ class TestShards:
         assert str(sharded.value) == str(serial.value)
         assert (sharded.value.run, sharded.value.step) == (serial.value.run, serial.value.step)
         assert serial.value.run >= TIGHT_RUNS // 2
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_lowest_failing_run_wins(self, two_shards):
@@ -572,6 +581,7 @@ class TestShards:
             run_many(TIGHT, "random", TIGHT_RUNS, seed, workers=2)
         assert len(two_shards) == 1
         assert sharded.value.run == _failing_runs(seed)[0] < TIGHT_RUNS // 2
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_lowest_failing_run_within_a_shard(self, two_shards, monkeypatch):
@@ -600,6 +610,7 @@ class TestShards:
             # failure at an earlier step first.
             assert full[0] < full[-1]
         assert len(two_shards) == 1
+        simulation._close_workers()
         assert_no_child_left()
 
     @pytest.mark.parametrize("sc", [
@@ -632,6 +643,7 @@ class TestShards:
         with pytest.raises(ValueError, match="raised in the child's shard"):
             run_many(small_scenario(), "space", 10, 0, workers=2)
         assert len(two_shards) == 1
+        simulation._close_workers()
         assert_no_child_left()
 
     def test_child_dying_without_a_reply_is_a_clean_error(self, two_shards, monkeypatch):
@@ -647,6 +659,7 @@ class TestShards:
         with pytest.raises(RuntimeError, match="shard 1") as exc_info:
             run_many(small_scenario(), "random", 10, 0, workers=2)
         assert "without a result" in str(exc_info.value)
+        simulation._close_workers()
         assert_no_child_left()
 
     @pytest.mark.parametrize("affinity", ["missing", "refused"])
@@ -666,6 +679,7 @@ class TestShards:
             cpus = len(simulation._cpus())
         assert run_many(fig1_scenario, "center", 40, 3, workers=2) == serial
         assert len(forks) == min(2, cpus) - 1
+        simulation._close_workers()
         assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
@@ -678,7 +692,158 @@ class TestShards:
         with pytest.raises(NoFeasiblePlacement):
             run_many(TIGHT, "random", TIGHT_RUNS, _tight_seed(True), workers=2)
         assert os.sched_getaffinity(0) == before
+        simulation._close_workers()
         assert_no_child_left()
+
+
+@pytest.mark.usefixtures("deadline")
+class TestWorkerPool:
+    """A worker per extra shard, forked by the first call that needs it."""
+
+    def test_later_calls_reuse_the_worker(self, two_shards):
+        sc = small_scenario()
+        for seed in range(3):
+            assert run_many(sc, "max", 9, seed, workers=2) == run_many(sc, "max", 9, seed)
+        assert len(two_shards) == 1
+
+    def test_a_failure_leaves_no_reply_behind(self, two_shards):
+        # Both shards fail; the worker's reply is read before the error rises.
+        with pytest.raises(NoFeasiblePlacement):
+            run_many(TIGHT, "random", TIGHT_RUNS, _tight_seed(True), workers=2)
+        sc = small_scenario()
+        assert run_many(sc, "max", 9, 4, workers=2) == run_many(sc, "max", 9, 4)
+        assert len(two_shards) == 1
+
+    @pytest.mark.parametrize("reaped_by", ["pool", "other code"])
+    def test_a_worker_killed_between_calls_is_replaced(self, two_shards, reaped_by):
+        sc = small_scenario()
+        serial = run_many(sc, "max", 9, 4)
+        run_many(sc, "max", 9, 4, workers=2)
+        [pid] = two_shards
+        os.kill(pid, signal.SIGKILL)
+        if reaped_by == "pool":
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+        else:
+            os.waitpid(pid, 0)
+        assert run_many(sc, "max", 9, 4, workers=2) == serial
+        assert len(two_shards) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped once, by one of the two
+
+    def test_a_worker_dying_in_a_call_is_replaced_by_the_next(self, two_shards, monkeypatch):
+        sc = small_scenario()
+        serial = run_many(sc, "random", 10, 0)
+        parent = os.getpid()
+        real_range = simulation._run_range
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_range(*args)
+
+        monkeypatch.setattr(simulation, "_run_range", die_in_child)
+        with pytest.raises(RuntimeError, match="shard 1: .* without a result"):
+            run_many(sc, "random", 10, 0, workers=2)
+        monkeypatch.setattr(simulation, "_run_range", real_range)
+        assert run_many(sc, "random", 10, 0, workers=2) == serial
+        assert len(two_shards) == 2
+
+    def test_an_interrupted_read_closes_the_pool(self, two_shards, monkeypatch):
+        # Otherwise the unread reply would be taken for the next call's.
+        sc = small_scenario()
+        real_reply = simulation._reply
+
+        def interrupted(shard):
+            raise TimeoutError("interrupted")
+
+        monkeypatch.setattr(simulation, "_reply", interrupted)
+        with pytest.raises(TimeoutError, match="interrupted"):
+            run_many(sc, "max", 9, 4, workers=2)
+        assert simulation._workers == {}
+        assert_no_child_left()
+        monkeypatch.setattr(simulation, "_reply", real_reply)
+        assert run_many(sc, "max", 9, 5, workers=2) == run_many(sc, "max", 9, 5)
+        assert len(two_shards) == 2
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two usable CPUs",
+    )
+    def test_each_call_pins_the_worker_again(self, forks):
+        sc = small_scenario()
+        last = simulation._cpus()[-1]
+        run_many(sc, "max", 9, 4, workers=2)
+        [pid] = forks
+        assert os.sched_getaffinity(pid) == {last}
+        os.sched_setaffinity(pid, set(simulation._cpus()) - {last})
+        run_many(sc, "max", 9, 4, workers=2)
+        assert os.sched_getaffinity(pid) == {last}
+        assert forks == [pid]
+
+    def test_a_worker_holds_no_other_workers_pipes(self, monkeypatch, forks):
+        # Were worker 2 to hold worker 1's request pipe, worker 1 would never
+        # read its end, and closing it alone would wait for the deadline.
+        cpus = simulation._cpus()
+        monkeypatch.setattr(simulation, "_cpus", lambda: (cpus * 3)[: max(3, len(cpus))])
+        sc = small_scenario()
+        serial = run_many(sc, "max", 9, 4)
+        assert run_many(sc, "max", 9, 4, workers=3) == serial
+        assert len(forks) == 2
+        assert os.waitstatus_to_exitcode(simulation._drop(1)) == 0
+        assert run_many(sc, "max", 9, 4, workers=3) == serial
+        assert len(forks) == 3
+
+    def test_a_forked_process_forks_its_own_worker(self, two_shards, monkeypatch):
+        sc = small_scenario()
+        serial = run_many(sc, "max", 9, 4)
+        assert run_many(sc, "max", 9, 4, workers=2) == serial
+        [worker] = two_shards
+        waited = []
+        real_waitpid = os.waitpid
+
+        def recording_waitpid(pid, options):
+            waited.append(pid)
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # This copy of the pool is the parent's; it is not used or reaped.
+                same = run_many(sc, "max", 9, 4, workers=2) == serial
+                forked_one = len(two_shards) == 2
+                simulation._close_workers()
+                code = 0 if same and forked_one and worker not in waited else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert run_many(sc, "max", 9, 4, workers=2) == serial
+        assert two_shards == [worker, pid]  # this test's fork, and no other
+
+    def test_a_process_exits_without_waiting_on_its_worker(self):
+        # The worker has this process's stdout and stderr; closed at exit,
+        # it ends with it, so the reader of those pipes sees their end.
+        script = (
+            "from seatsim import Scenario, run_many, simulation\n"
+            "sc = Scenario(rows=5, cols=9, initial_occupancy=((1, 2),), arrivals=(2, 1, 3))\n"
+            "assert run_many(sc, 'max', 9, 4, workers=2) == run_many(sc, 'max', 9, 4)\n"
+            "print(*(pid for pid, _, _ in simulation._workers.values()))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        for pid in map(int, result.stdout.split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # reaped by the process that forked it
 
 
 def _small_hall(seed: int) -> Scenario:
