@@ -155,6 +155,8 @@ def _lines(text: str) -> list[str | None]:
 
     Blank lines stay, as ``""``, because they separate choices records.
     """
+    if not isinstance(text, str):  # checked once, before any line is read
+        raise ValueError(f"input text must be a str, got {type(text).__name__}")
     return [
         line.rstrip(" \t\r")
         if ";" not in line or not line.lstrip(" \t").startswith(";")  # the cheap test first
@@ -349,6 +351,8 @@ def _sized(values, *what: object) -> int:
 
 def validate_scenario(scenario: Scenario) -> None:
     """Check a programmatically built Scenario; raises ValidationError."""
+    if not isinstance(scenario, Scenario):
+        raise ValidationError(f"expected a Scenario, got {scenario!r}")
     rows, cols = scenario.rows, scenario.cols
     if type(rows) is not int or type(cols) is not int:  # ``True`` would be written as text
         raise ValidationError(f"auditorium size must be integers, got {rows!r}x{cols!r}")

@@ -7,7 +7,9 @@ The first ``run_many`` call that needs shard i forks its worker, and later
 calls send it requests over a pipe; a worker found dead is forked again.
 A worker keeps the module state it had when it was forked, so code that
 patches this module or :mod:`seatsim.policies` closes the workers first.
-They are closed and reaped by ``_close_workers``, which also runs at exit.
+Of its fds it keeps only its two pipe ends and the standard streams. A
+process forked from this one drops its copies of the pool at the fork.
+The workers are closed and reaped by ``_close_workers``, also at exit.
 """
 
 from __future__ import annotations
@@ -122,11 +124,7 @@ def _pin(pid: int, cpus) -> None:
         pass
 
 
-# The extra shards' workers of this process: shard -> (pid, request fd,
-# reply reader). ``_owner`` forked them; a process forked from it by other
-# code must neither use nor reap them.
-_workers: dict = {}
-_owner = 0
+_workers: dict = {}  # extra shard -> its worker's (pid, request fd, reply reader)
 
 
 def _send(fd: int, obj) -> None:
@@ -159,12 +157,10 @@ def _serve(request_fd: int, reply_fd: int) -> None:
 def _drop(shard: int) -> int | None:
     """Close shard ``shard``'s pipes, so its worker reads the end of its
     requests and exits, and reap it; returns its wait status, or None where
-    this process did not fork it or other code reaped it first."""
+    other code reaped it first. A forked child holds no copy of the pipes."""
     pid, request_fd, replies = _workers.pop(shard)
     os.close(request_fd)
     replies.close()
-    if _owner != os.getpid():
-        return None
     try:
         return os.waitpid(pid, 0)[1]
     except ChildProcessError:
@@ -172,22 +168,27 @@ def _drop(shard: int) -> int | None:
 
 
 def _close_workers() -> None:
-    """Close and reap every worker. A process forked from their owner by
-    other code closes only its copies of their pipes."""
-    global _owner
+    """Close and reap every worker; a forked child has none."""
     for shard in list(_workers):
         _drop(shard)
-    _owner = os.getpid()
+
+
+def _forget_workers() -> None:
+    """A forked child closes its copies of the pool's pipes and forgets the pool."""
+    for _, request_fd, replies in _workers.values():
+        os.close(request_fd)
+        replies.close()
+    _workers.clear()
 
 
 atexit.register(_close_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _worker(shard: int, cpu: int) -> tuple[int, int, object]:
     """Shard ``shard``'s worker pinned to ``cpu``; forked when it is missing
     or has died. If a fork fails, every worker is closed."""
-    if _owner != os.getpid():
-        _close_workers()
     if shard in _workers:
         pid = _workers[shard][0]
         try:
@@ -209,11 +210,10 @@ def _worker(shard: int, cpu: int) -> tuple[int, int, object]:
     if pid == 0:
         code = 1
         try:
-            os.close(request_write)
-            os.close(reply_read)
-            for _, fd, replies in _workers.values():
-                os.close(fd)
-                os.close(replies.fileno())
+            # No fd of the caller may stay open for the worker's life.
+            keep = sorted({0, 1, 2, request_read, reply_write})
+            for fd, next_fd in zip(keep, keep[1:] + [os.sysconf("SC_OPEN_MAX")]):
+                os.closerange(fd + 1, next_fd)
             _serve(request_read, reply_write)
             code = 0
         finally:
@@ -257,14 +257,14 @@ def run_many(
     ``os.fork`` is missing or other threads run). This process runs the
     first shard, and the worker of shard i runs shard i and returns its
     columns of scores over a pipe. A worker is forked by the first call
-    that needs it and serves every later call of this process, with the
-    module state it had at its fork, until ``_close_workers`` reaps it, at
-    exit at the latest. A shard of more than three runs steps them
-    together, one rule start set per step for all of them
-    (``_run_range``). Each step's column is joined shard by shard in index
-    order, each column gives that step's statistics, and a failure reports
-    the lowest failing run, so the result is the same for every worker
-    count.
+    that needs it, with the module state of its fork and no fd open but
+    its pipes and the standard streams, and serves every later call of
+    this process until ``_close_workers`` reaps it, at exit at the latest;
+    a process forked from this one drops its copies of the pool. A shard
+    of more than three runs steps them together (``_run_range``). Each
+    step's column is joined shard by shard in index order, each column
+    gives that step's statistics, and a failure reports the lowest failing
+    run, so the result is the same for every worker count.
     """
     for name, value in (("runs", runs), ("master_seed", master_seed), ("workers", workers)):
         if type(value) is not int:  # ``True`` would pass as 1

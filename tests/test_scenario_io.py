@@ -313,6 +313,32 @@ class TestValidateTypes:
         with pytest.raises(ValidationError, match="auditorium must be at least 1x1, got 0x3"):
             validate_scenario(Scenario(0, 3, (), ()))
 
+    @pytest.mark.parametrize("entry", [validate_scenario, serialize_scenario])
+    @pytest.mark.parametrize("value", [5, None, VALID_MINIMAL], ids=["int", "none", "text"])
+    def test_what_is_no_scenario_is_rejected(self, entry, value):
+        # Unchecked, each gives an AttributeError.
+        with pytest.raises(ValidationError) as info:
+            entry(value)
+        assert str(info.value) == f"expected a Scenario, got {value!r}"
+
+
+class TestParsersNeedText:
+    @pytest.mark.parametrize(
+        "parse,text,got",
+        [
+            (parse_scenario, VALID_MINIMAL.encode(), "bytes"),
+            (parse_scenario, None, "NoneType"),
+            (parse_choices, b"groups 1\ngrid\n#.\nchosen 1,2\n", "bytes"),
+            (parse_choices, 5, "int"),
+        ],
+        ids=["scenario-bytes", "scenario-none", "choices-bytes", "choices-int"],
+    )
+    def test_what_is_no_str_is_rejected(self, parse, text, got):
+        # Unchecked, bytes give a TypeError and the others an AttributeError.
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == f"input text must be a str, got {got}"
+
 
 class TestShippedScenario:
     def test_fig1_parses_and_round_trips(self, fig1_scenario):

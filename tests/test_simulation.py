@@ -822,6 +822,50 @@ class TestWorkerPool:
         assert run_many(sc, "max", 9, 4, workers=2) == serial
         assert two_shards == [worker, pid]  # this test's fork, and no other
 
+    @pytest.mark.usefixtures("deadline")
+    def test_a_child_forked_by_other_code_does_not_hold_the_worker(self, two_shards):
+        # The child holds nothing of the pool, so closing it reaps the worker
+        # while the child still waits on the test.
+        sc = small_scenario()
+        run_many(sc, "max", 9, 4, workers=2)
+        [worker] = two_shards
+        hold_read, hold_write = os.pipe()
+        child = os.fork()
+        if child == 0:
+            try:
+                os.close(hold_write)
+                os.read(hold_read, 1)  # until the test closes its end
+            finally:
+                os._exit(0)
+        os.close(hold_read)
+        try:
+            simulation._close_workers()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(worker, os.WNOHANG)  # reaped
+            assert os.waitpid(child, os.WNOHANG) == (0, 0)  # still waiting
+        finally:
+            os.close(hold_write)
+            _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert_no_child_left()
+
+    def test_a_worker_keeps_none_of_the_callers_fds(self, two_shards):
+        # A pipe opened before the worker was forked ends for its reader
+        # once the caller closes its write end, while the worker lives.
+        sc = small_scenario()
+        read_fd, write_fd = os.pipe()
+        try:
+            assert run_many(sc, "max", 9, 4, workers=2) == run_many(sc, "max", 9, 4)
+        finally:
+            os.close(write_fd)
+        [worker] = two_shards
+        os.set_blocking(read_fd, False)
+        try:
+            assert os.read(read_fd, 1) == b""
+        finally:
+            os.close(read_fd)
+        assert os.waitpid(worker, os.WNOHANG) == (0, 0)  # still serving
+
     def test_a_process_exits_without_waiting_on_its_worker(self):
         # The worker has this process's stdout and stderr; closed at exit,
         # it ends with it, so the reader of those pipes sees their end.
