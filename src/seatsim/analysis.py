@@ -11,6 +11,7 @@ percentages are left to consumers so the output stays exact.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 
 from .grid import Auditorium, Placement, SeatCoord, manhattan_distance
 
@@ -84,34 +85,32 @@ class Histogram(_Record):
         return sum(self.counts.values())
 
 
-def _check_records(records: list[ChoiceRecord]) -> None:
-    """Raise ``ValueError`` if ``records`` is not iterable, or for the first
-    of them that is not a ``ChoiceRecord``."""
+def _read_records(records: Iterable[ChoiceRecord]) -> list[ChoiceRecord]:
+    """``records`` read once into a list and checked before anything is
+    binned: ``EmptyInput`` if there are none, ``ValueError`` if they are
+    not iterable or one of them is not a ``ChoiceRecord``."""
     try:
-        records = iter(records)
+        read = list(records or ())
     except TypeError:
         raise ValueError(f"records must be a list of ChoiceRecords, got {records!r}") from None
-    for rec in records:
-        if not isinstance(rec, ChoiceRecord):
-            raise ValueError(f"expected a ChoiceRecord, got {rec!r}") from None
-
-
-def nearest_distance_histogram(records: list[ChoiceRecord]) -> Histogram:
-    """Bin each record's distance from the chosen seat to the nearest occupant."""
-    if not records:
+    if not read:
         raise EmptyInput("no choice records")
-    try:
-        return Histogram(dict(Counter(
-            rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
-            for rec in records
-        )))
-    except (AttributeError, TypeError):
-        _check_records(records)
-        raise
+    for rec in read:
+        if not isinstance(rec, ChoiceRecord):
+            raise ValueError(f"expected a ChoiceRecord, got {rec!r}")
+    return read
+
+
+def nearest_distance_histogram(records: Iterable[ChoiceRecord]) -> Histogram:
+    """Bin each record's distance from the chosen seat to the nearest occupant."""
+    return Histogram(dict(Counter(
+        rec.configuration.min_distance_to_seated(Placement(*rec.chosen, 1))
+        for rec in _read_records(records)
+    )))
 
 
 def center_distance_histogram(
-    records: list[ChoiceRecord], min_groups: int = 2
+    records: Iterable[ChoiceRecord], min_groups: int = 2
 ) -> Histogram:
     """Bin distances from the chosen seat to the occupants' center of mass.
 
@@ -121,13 +120,7 @@ def center_distance_histogram(
     """
     if type(min_groups) is not int:  # ``True`` would pass as 1
         raise ValueError(f"min_groups must be an integer, got {min_groups!r}")
-    if not records:
-        raise EmptyInput("no choice records")
-    try:
-        kept = [rec for rec in records if rec.group_count >= min_groups]
-    except (AttributeError, TypeError):
-        _check_records(records)
-        raise
+    kept = [rec for rec in _read_records(records) if rec.group_count >= min_groups]
     if not kept:
         raise AllRecordsFiltered(f"no record has at least {min_groups} seated groups")
     return Histogram(dict(Counter(  # a record's hall has an occupant, hence a center

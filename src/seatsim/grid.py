@@ -378,9 +378,12 @@ class Auditorium(_Board):
         The new board is then recounted whole by ``_set_board``."""
         board, width = self._board, self._width
         coord = coords
-        try:  # one handler for the call, no check per seat
+        try:  # a seat's faults are caught, not checked for on every seat
             for coord in coords:
-                row, seat = coord
+                try:
+                    row, seat = coord
+                except ValueError:  # a seat of the wrong length
+                    raise ValueError(f"seat {coord!r} is not a pair of integers") from None
                 self._check_bounds(row, seat)
                 bit = 1 << (row - 1) * width + seat - 1
                 if board & bit:

@@ -70,8 +70,9 @@ Trajectory = list[int]
 
 def _row_major(seats):
     """``seats`` as ``SeatCoord``s in row-major order; seats that are not
-    pairs, or do not compare, are kept as given for ``validate_scenario``."""
+    pairs, or do not compare, are kept as read for ``validate_scenario``."""
     try:
+        seats = tuple(seats)
         return tuple(sorted(map(SeatCoord._make, seats)))
     except TypeError:
         return seats

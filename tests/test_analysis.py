@@ -215,3 +215,27 @@ class TestCenterDistanceHistogram:
         with pytest.raises(ValueError) as exc_info:
             center_distance_histogram([record], min_groups=min_groups)
         assert str(exc_info.value) == f"min_groups must be an integer, got {min_groups!r}"
+
+
+@pytest.mark.parametrize(
+    "histogram", [nearest_distance_histogram, center_distance_histogram], ids=["nearest", "center"]
+)
+class TestRecordsReadOnce:
+    """A histogram reads its records once, so an iterator is checked as a list is."""
+
+    def test_a_generator_holding_a_non_record_is_rejected(self, histogram):
+        # Read a second time, the spent generator would hide the item.
+        record = ChoiceRecord(Auditorium.from_rows(["#.#"]), SeatCoord(1, 2), 2)
+        with pytest.raises(ValueError) as exc_info:
+            histogram(rec for rec in [record, 5])
+        assert str(exc_info.value) == "expected a ChoiceRecord, got 5"
+
+    def test_an_empty_iterator_is_empty_input(self, histogram):
+        # ``iter([])`` is truthy, so only reading it shows that it holds nothing.
+        with pytest.raises(EmptyInput, match="^no choice records$"):
+            histogram(iter([]))
+
+    def test_a_generator_bins_as_its_list(self, histogram):
+        rng = random.Random(5)
+        records = [random_record(rng) for _ in range(40)]
+        assert histogram(rec for rec in records) == histogram(records)

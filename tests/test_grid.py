@@ -826,12 +826,15 @@ class TestConstruction:
             (lambda aud: Auditorium(2, 3, [5]), "5"),
             (lambda aud: Auditorium(2, 3, 5), "5"),
             (lambda aud: aud.occupy_seats([(1, 2), None]), "None"),
+            (lambda aud: Auditorium(2, 3, [(1, 2, 3)]), "(1, 2, 3)"),
+            (lambda aud: aud.occupy_seats([(1, 2), (1,)]), "(1,)"),
         ],
         ids=["str-seat", "bool-row", "float-row", "is-occupied", "min-distance",
-             "int-seat", "int-seats", "none-seat"],
+             "int-seat", "int-seats", "none-seat", "triple-seat", "single-seat"],
     )
     def test_seats_must_be_pairs_of_integers(self, call, seat):
-        # Unchecked, ``True`` is taken as row 1 and the others give a ``TypeError``.
+        # Unchecked, ``True`` is taken as row 1, a seat of the wrong length gives
+        # the unpacking's ``ValueError`` and the others give a ``TypeError``.
         aud = Auditorium(2, 3)
         with pytest.raises(ValueError) as exc_info:
             call(aud)

@@ -292,6 +292,9 @@ class TestValidateTypes:
             # Seats that cannot be sorted or wrapped reach the validator as given.
             (Scenario(2, 3, ((1, 1), ("1", 2)), ()), r"initial seat \('1', 2\) is not a pair"),
             (Scenario(2, 3, ((1, 1, 1),), ()), r"initial seat \(1, 1, 1\) is not a pair"),
+            # A generator is read once, and what was read reaches the validator.
+            (Scenario(2, 3, (s for s in [(1, 1), ("1", 2)]), ()),
+             r"initial seat \('1', 2\) is not a pair"),
             # So do seat collections and arrivals that are not sequences.
             (Scenario(2, 3, 5, ()), "initial occupancy must be a sequence, got 5"),
             (Scenario(2, 3, (), 5), "arrivals must be a sequence, got 5"),
@@ -301,7 +304,8 @@ class TestValidateTypes:
         ids=["float-size", "str-size", "float-initial-seat", "float-observed-seat",
              "str-rows", "float-cols", "bool-rows", "bool-size", "bool-initial-seat",
              "bool-observed-seat", "str-initial-seat", "triple-initial-seat",
-             "int-initial", "int-arrivals", "int-observed", "int-observed-step"],
+             "generator-initial-seats", "int-initial", "int-arrivals", "int-observed",
+             "int-observed-step"],
     )
     def test_non_integers_are_rejected(self, scenario, message):
         # Unchecked, each gives a TypeError, here or later in a run.

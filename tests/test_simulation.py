@@ -748,6 +748,31 @@ class TestWorkerPool:
         assert run_many(sc, "random", 10, 0, workers=2) == serial
         assert len(two_shards) == 2
 
+    def test_a_worker_dead_before_its_request_is_reported(self, two_shards, monkeypatch):
+        # Found alive, then killed: the request meets a pipe with no reader,
+        # and the reply that never comes names the worker's wait status.
+        sc = small_scenario()
+        serial = run_many(sc, "max", 9, 4)
+        real_worker = simulation._worker
+
+        def killed_worker(shard, cpu):
+            worker = real_worker(shard, cpu)
+            os.kill(worker[0], signal.SIGKILL)
+            os.waitid(os.P_PID, worker[0], os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            return worker
+
+        monkeypatch.setattr(simulation, "_worker", killed_worker)
+        with pytest.raises(RuntimeError) as exc_info:
+            run_many(sc, "max", 9, 4, workers=2)
+        [pid] = two_shards
+        assert str(exc_info.value) == (
+            f"shard 1: worker process {pid} ended without a result (wait status 9)"
+        )
+        assert simulation._workers == {}
+        monkeypatch.setattr(simulation, "_worker", real_worker)
+        assert run_many(sc, "max", 9, 4, workers=2) == serial
+        assert len(two_shards) == 2
+
     def test_an_interrupted_read_closes_the_pool(self, two_shards, monkeypatch):
         # Otherwise the unread reply would be taken for the next call's.
         sc = small_scenario()
